@@ -18,14 +18,13 @@ from .diffalg import (
     equivalent,
     is_zero,
     proportional,
-    set_term_cap,
     substitute_jet,
+    term_cap,
     total_derivative,
 )
 from .exprio import ParseError, SourceSpan, from_json, parse, print_expr, to_json
 from .hierarchies import (
     Equation,
-    OperatorSpec,
     ch_space,
     gen_cbs_family,
     gen_ch,

@@ -80,10 +80,11 @@ class VerificationReport:
 class _Runner:
     """Collects check results and the shared numeric bookkeeping for one cell."""
 
-    def __init__(self, claim, n, seed, zero_tol=ZERO_TOL):
+    def __init__(self, claim, n, seed, step_cap, zero_tol):
         self.claim = claim
         self.n = n
         self.seed = (numoracle.hash_stable(claim) * 131071 + n * 8191 + seed) & 0x3FFFFFFF
+        self.step_cap = step_cap
         self.zero_tol = zero_tol
         self.checks = []
         self.cofactor = None
@@ -126,6 +127,20 @@ class _Runner:
         self.terms += len(lhs.num.terms)
         return cof
 
+    def uniform_cofactor(self, checks, space):
+        """proportional_check over the middle equations' (label, lhs, rhs);
+        one cofactor must serve every i, and it becomes the cell's cofactor."""
+        if self.n == 1:
+            self.vacuous("no middle equations at n=1")
+        cofs = []
+        for label, lhs, rhs in checks:
+            cof = self.proportional_check(label, lhs, rhs, space)
+            if cof is not None:
+                cofs.append(cof)
+        if cofs:
+            self.add("cofactor uniform across i", all(c == cofs[0] for c in cofs))
+            self.cofactor = cofs[0].text()
+
 
 def _rep(runner, t0):
     status = "pass"
@@ -152,18 +167,9 @@ def _c2(r, n):
     m = transform.build_map("R_CH", n)
     eqs = hier.gen_ch(n)
     fam = hier.gen_cbs_family(n)
-    rsp = hier.r_space(n)
-    cofs = []
-    if n == 1:
-        r.vacuous("no middle equations at n=1")
-    for i in range(1, n):
-        img = m.transport(eqs[i].residual)
-        cof = r.proportional_check(f"E_CH{i} ~ bcbs_{i}", img, fam.bcbs[i - 1].residual, rsp)
-        if cof is not None:
-            cofs.append(cof)
-    if cofs:
-        r.add("cofactor uniform across i", all(c == cofs[0] for c in cofs))
-        r.cofactor = cofs[0].text()
+    r.uniform_cofactor(((f"E_CH{i} ~ bcbs_{i}", m.transport(eqs[i].residual),
+                         fam.bcbs[i - 1].residual) for i in range(1, n)),
+                       hier.r_space(n))
     closing = m.transport(eqs[n].residual)
     r.checks.append(CheckResult(
         "E_CHn image (reported, not judged)", "pass",
@@ -196,15 +202,11 @@ def _substituted_cbs(n, i):
     return expr
 
 
-def _system(which, n):
-    return reduction.standard_systems(which, n, step_cap=_STEP_CAP_STACK[-1])
-
-
 def _c3(r, n):
     if n == 1:
         r.vacuous("no CBS equations at n=1")
         return
-    system = _system("BCBS", n)
+    system = reduction.standard_systems("BCBS", n, step_cap=r.step_cap)
     for i in range(1, n):
         expr = _substituted_cbs(n, i)
         r.zero_check(f"cbs_{i} modulo bcbs", expr, hier.r_space(n), system=system)
@@ -217,17 +219,8 @@ def _c4(r, n):
     rsp = hier.r_space(n)
     img0 = m.transport(qeqs["E_Q0"].residual)
     r.zero_check("transport(R_Q, E_Q0)", img0, rsp)
-    cofs = []
-    if n == 1:
-        r.vacuous("no middle equations at n=1")
-    for i in range(1, n):
-        img = m.transport(qeqs[f"E_Q{i}"].residual)
-        cof = r.proportional_check(f"E_Q{i} ~ bmcbs_{i}", img, fam.bmcbs[i - 1].residual, rsp)
-        if cof is not None:
-            cofs.append(cof)
-    if cofs:
-        r.add("cofactor uniform across i", all(c == cofs[0] for c in cofs))
-        r.cofactor = cofs[0].text()
+    r.uniform_cofactor(((f"E_Q{i} ~ bmcbs_{i}", m.transport(qeqs[f"E_Q{i}"].residual),
+                         fam.bmcbs[i - 1].residual) for i in range(1, n)), rsp)
     closing = m.transport(qeqs[f"E_Q{n}n"].residual.total_derivative("x"))
     r.checks.append(CheckResult(
         "D_x(E_Qn) image (reported, not judged)", "pass",
@@ -277,7 +270,7 @@ def _c5(r, n):
     if n == 1:
         r.vacuous("no transformed middle equations at n=1")
         return
-    system = _system("BCBS", n)
+    system = reduction.standard_systems("BCBS", n, step_cap=r.step_cap)
     for i in range(1, n):
         expr = _miura_substituted_bmcbs(n, i)
         r.zero_check(f"bmcbs_{i} under the Miura substitutions", expr,
@@ -300,7 +293,7 @@ def _c7(r, n):
         r.vacuous("field relations range over i=1..n-1")
         return
     m = transform.miura_mix_map(n)
-    system = _system("CH", n)
+    system = reduction.standard_systems("CH", n, step_cap=r.step_cap)
     msp = hier.mr_space(n)
     rels = {e.label: e for e in hier.gen_miura_relations(n)}
     u = msp.expr("u")
@@ -318,7 +311,7 @@ def _c7(r, n):
 
 def _c8(r, n):
     chs = hier.ch_space(n)
-    system = _system("CH", n)
+    system = reduction.standard_systems("CH", n, step_cap=r.step_cap)
     p = chs.expr("P")
     w1 = chs.expr("Omega", 1)
     w_img = Fraction(1, 2) * (chs.expr("Omega", 1, X=1) + w1)
@@ -330,7 +323,7 @@ def _c8(r, n):
 
 def _c9(r, n):
     m = transform.build_map("C_MR", n)
-    system = _system("CH", n)
+    system = reduction.standard_systems("CH", n, step_cap=r.step_cap)
     chs = hier.ch_space(n)
     for eq in hier.gen_qiao(n):
         resid = eq.residual
@@ -349,35 +342,27 @@ _CLAIM_FNS = {
 
 
 def run_claim(claim, n, seed=0, step_cap=reduction.DEFAULT_STEP_CAP,
-              zero_tol=ZERO_TOL):
+              term_cap=diffalg.DEFAULT_TERM_CAP, zero_tol=ZERO_TOL):
     """Run one claim at one hierarchy size; engine errors become status error."""
     if claim not in _CLAIM_FNS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIM_IDS}")
     hier._check_n(n)
     t0 = time.perf_counter()
-    runner = _Runner(claim, n, seed, zero_tol)
-    _STEP_CAP_STACK.append(step_cap)
-    try:
-        _CLAIM_FNS[claim](runner, n)
-    except DiffAlgError as exc:
-        runner.checks.append(CheckResult("engine", "error", f"{type(exc).__name__}: {exc}"))
-    finally:
-        _STEP_CAP_STACK.pop()
+    runner = _Runner(claim, n, seed, step_cap, zero_tol)
+    with diffalg.term_cap(term_cap):
+        try:
+            _CLAIM_FNS[claim](runner, n)
+        except DiffAlgError as exc:
+            runner.checks.append(CheckResult("engine", "error", f"{type(exc).__name__}: {exc}"))
     return _rep(runner, t0)
 
 
-_STEP_CAP_STACK = [reduction.DEFAULT_STEP_CAP]
-
-
 def _cell(args):
-    claim, n, seed, step_cap, term_cap, zero_tol = args
-    if term_cap is not None:
-        diffalg.set_term_cap(term_cap)
-    return run_claim(claim, n, seed=seed, step_cap=step_cap, zero_tol=zero_tol)
+    return run_claim(*args)
 
 
 def run_all(n_max, claims=None, seed=0, jobs=1,
-            step_cap=reduction.DEFAULT_STEP_CAP, term_cap=None,
+            step_cap=reduction.DEFAULT_STEP_CAP, term_cap=diffalg.DEFAULT_TERM_CAP,
             zero_tol=ZERO_TOL):
     """Run the selected claims for n = 1..n_max; cells may run in parallel and
     are merged deterministically by (claim, n)."""

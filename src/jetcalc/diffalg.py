@@ -12,6 +12,8 @@ common denominators to keep denominator towers like (P - P_X)^k flat.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
@@ -19,19 +21,19 @@ from math import gcd
 
 DEFAULT_TERM_CAP = 200_000
 
-_term_cap = DEFAULT_TERM_CAP
+_term_cap = ContextVar("term_cap", default=DEFAULT_TERM_CAP)
 
 
-def set_term_cap(cap):
-    """Set the global expression-size guard (number of stored terms)."""
-    global _term_cap
+@contextmanager
+def term_cap(cap):
+    """Scope the expression-size guard (number of stored terms) to a block."""
     if cap < 1:
         raise ValueError("term cap must be positive")
-    _term_cap = int(cap)
-
-
-def get_term_cap():
-    return _term_cap
+    token = _term_cap.set(int(cap))
+    try:
+        yield
+    finally:
+        _term_cap.reset(token)
 
 
 class DiffAlgError(Exception):
@@ -408,9 +410,9 @@ class DiffPoly:
     __slots__ = ("terms", "_space", "_hash")
 
     def __init__(self, terms, space=_SCAN):
-        if len(terms) > _term_cap:
+        if len(terms) > _term_cap.get():
             raise TermCapError(
-                f"polynomial with {len(terms)} terms exceeds the cap of {_term_cap}")
+                f"polynomial with {len(terms)} terms exceeds the cap of {_term_cap.get()}")
         self.terms = terms
         if not terms:
             space = None
@@ -526,7 +528,7 @@ class DiffPoly:
         if self.is_const():
             return other.scale(self.const_value())
         out = {}
-        cap = _term_cap
+        cap = _term_cap.get()
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1.mul(m2)

@@ -10,7 +10,9 @@ vanish) as labelled Equation values over one of four built-in spaces:
              on (x, t) -- hosts the relations that mix both hierarchies
 
 The compact recursion-operator forms U_T = R^-n U_X and u_t = r^-n u_x are
-documented by OperatorSpec only; the generators emit the expanded systems.
+not modelled; the generators emit the expanded systems.  The CH recursion
+operator is R = K J^-1 with K = d_XXX - d_X and J = -(1/2)(d_X U + U d_X),
+the Qiao one r = k j^-1 with k = d_xxx - d_x and j = -d_x u (d_x)^-1 u d_x.
 The substitution U = P^2 relates the compact CH form to the P equations and
 is recorded here rather than modelled as a separate field.
 """
@@ -26,23 +28,6 @@ from .diffalg import RatExpr, VarSpace, total_derivative
 
 SYSTEMS = ("CH", "QIAO", "BCBS", "BMCBS", "MSYS", "MCBS_SYS", "CBS",
            "MIURA", "HEIGHTS", "FIELDS", "XREL")
-
-
-@dataclass(frozen=True)
-class OperatorSpec:
-    """Documentation of a recursion-operator building block."""
-    name: str
-    description: str
-
-
-OPERATORS = (
-    OperatorSpec("K", "K = d_XXX - d_X"),
-    OperatorSpec("J", "J = -(1/2)(d_X U + U d_X), with U = P^2"),
-    OperatorSpec("R", "R = K J^-1 (CH recursion operator)"),
-    OperatorSpec("k", "k = d_xxx - d_x"),
-    OperatorSpec("j", "j = -d_x u (d_x)^-1 u d_x"),
-    OperatorSpec("r", "r = k j^-1 (Qiao recursion operator)"),
-)
 
 
 @dataclass(frozen=True)

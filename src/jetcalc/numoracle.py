@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .diffalg import DiffAlgError, RatExpr
 
@@ -146,26 +147,42 @@ def _eval_poly(poly, getter):
     return math.fsum(total), scale
 
 
-def eval_expr(e, point):
-    """Evaluate at a JetPoint; denominators below the floor are rejected."""
-    e = RatExpr._coerce(e)
-    getter = point.value if isinstance(point, JetPoint) else point
-    num, _ = _eval_poly(e.num, getter)
-    den, dscale = _eval_poly(e.den, getter)
-    if abs(den) <= DEN_FLOOR * max(1.0, dscale):
-        raise SmallDenominatorError(f"denominator {den!r} too small")
-    return num / den
-
-
-def relative_residual(e, point):
-    """|num| relative to the summed magnitude of the numerator's terms."""
+def _evaluate(e, point):
+    """(numerator, summed numerator term magnitude, denominator) at a JetPoint
+    or jet getter; denominators below the floor are rejected."""
     e = RatExpr._coerce(e)
     getter = point.value if isinstance(point, JetPoint) else point
     num, scale = _eval_poly(e.num, getter)
     den, dscale = _eval_poly(e.den, getter)
     if abs(den) <= DEN_FLOOR * max(1.0, dscale):
         raise SmallDenominatorError(f"denominator {den!r} too small")
+    return num, scale, den
+
+
+def eval_expr(e, point):
+    """Evaluate at a JetPoint; denominators below the floor are rejected."""
+    num, _, den = _evaluate(e, point)
+    return num / den
+
+
+def relative_residual(e, point):
+    """|num| relative to the summed magnitude of the numerator's terms."""
+    num, scale, _ = _evaluate(e, point)
     return abs(num) / max(scale, 1e-300)
+
+
+def _samples(tf, rng, attempts, evaluate):
+    """Yield evaluate(coords) at successive sample points of tf, skipping the
+    points where a denominator is too small; NumericError after `attempts`
+    draws."""
+    for _ in range(attempts):
+        coords = tf.sample_coords(rng)
+        try:
+            value = evaluate(coords)
+        except SmallDenominatorError:
+            continue
+        yield value
+    raise NumericError("could not find enough well-conditioned sample points")
 
 
 def consistent_point(system, jets, tf, coords):
@@ -201,24 +218,17 @@ def confirm_zero(e, space, seed, points=100, system=None):
     if e.is_zero():
         return 0.0
     tf = TestFunction(space, seed)
-    rng = random.Random(seed * 7919 + 13)
     jets = list(e.jets())
+
+    def residual(coords):
+        p = consistent_point(system, jets, tf, coords) if system is not None \
+            else tf.point(jets, coords)
+        return relative_residual(e, p)
+
     worst = 0.0
-    good = 0
-    attempts = 0
-    while good < points:
-        attempts += 1
-        if attempts > 40 * points:
-            raise NumericError("could not find enough well-conditioned sample points")
-        coords = tf.sample_coords(rng)
-        try:
-            p = consistent_point(system, jets, tf, coords) if system is not None \
-                else tf.point(jets, coords)
-            rel = relative_residual(e, p)
-        except SmallDenominatorError:
-            continue
+    samples = _samples(tf, random.Random(seed * 7919 + 13), 40 * points, residual)
+    for rel in islice(samples, points):
         worst = max(worst, rel)
-        good += 1
     return worst
 
 
@@ -227,26 +237,23 @@ def fd_check(e, var, tf, sample=0):
     extrapolated central differences (steps 1e-3 and 5e-4) along var."""
     e = RatExpr._coerce(e)
     de = e.total_derivative(var)
-    rng = random.Random(tf.seed * 92821 + sample)
     jets = set(e.jets()) | set(de.jets())
     h = 1e-3
-    for _attempt in range(1000):
-        coords = tf.sample_coords(rng)
-        try:
-            sym = eval_expr(de, tf.point(jets, coords))
 
-            def at(offset):
-                shifted = dict(coords)
-                shifted[var] = coords[var] + offset
-                return eval_expr(e, tf.point(jets, shifted))
+    def error(coords):
+        sym = eval_expr(de, tf.point(jets, coords))
 
-            d_h = (at(h) - at(-h)) / (2 * h)
-            d_h2 = (at(h / 2) - at(-h / 2)) / h
-            fd = (4 * d_h2 - d_h) / 3
-        except SmallDenominatorError:
-            continue
+        def at(offset):
+            shifted = dict(coords)
+            shifted[var] = coords[var] + offset
+            return eval_expr(e, tf.point(jets, shifted))
+
+        d_h = (at(h) - at(-h)) / (2 * h)
+        d_h2 = (at(h / 2) - at(-h / 2)) / h
+        fd = (4 * d_h2 - d_h) / 3
         return abs(sym - fd) / max(1.0, abs(sym), abs(fd))
-    raise NumericError("could not find a well-conditioned sample point")
+
+    return next(_samples(tf, random.Random(tf.seed * 92821 + sample), 1000, error))
 
 
 def numeric_proportionality(a, b, cofactor, trials=100, seed=0, tol=ZERO_TOL):
@@ -255,23 +262,13 @@ def numeric_proportionality(a, b, cofactor, trials=100, seed=0, tol=ZERO_TOL):
     b = RatExpr._coerce(b)
     space = a.space() or b.space()
     tf = TestFunction(space, seed)
-    rng = random.Random(seed * 31337 + 7)
     cof = cofactor.as_ratexpr()
     jets = set(a.jets()) | set(b.jets()) | set(cof.jets())
-    good = 0
-    attempts = 0
-    while good < trials:
-        attempts += 1
-        if attempts > 40 * trials:
-            raise NumericError("could not find enough well-conditioned sample points")
-        coords = tf.sample_coords(rng)
+
+    def values(coords):
         p = tf.point(jets, coords)
-        try:
-            va = eval_expr(a, p)
-            vb = eval_expr(cof, p) * eval_expr(b, p)
-        except SmallDenominatorError:
-            continue
-        if abs(va - vb) > tol * max(1.0, abs(va), abs(vb)):
-            return False
-        good += 1
-    return True
+        return eval_expr(a, p), eval_expr(cof, p) * eval_expr(b, p)
+
+    samples = _samples(tf, random.Random(seed * 31337 + 7), 40 * trials, values)
+    return not any(abs(va - vb) > tol * max(1.0, abs(va), abs(vb))
+                   for va, vb in islice(samples, trials))

@@ -147,120 +147,105 @@ def transport(m, e):
     return m.transport(e)
 
 
-def _rx(space, name, index=None, **orders):
-    return space.expr(name, index, **orders)
+# (source, target) space of each named map
+_ENDS = {
+    "R_CH": (hier.ch_space, hier.r_space),
+    "R_Q": (hier.q_space, hier.r_space),
+    "B_CH": (hier.r_space, hier.ch_space),
+    "B_Q": (hier.r_space, hier.q_space),
+    "C_MR": (hier.q_space, hier.ch_space),
+}
+
+MAP_NAMES = tuple(_ENDS)
+
+
+def _images(which, n, src, tgt):
+    """(field_images, op_images) of a named map, keyed on jets of src and
+    built over tgt; src and tgt may be the mixed space hosting the map's
+    own source or target fields."""
+    one = RatExpr.const(1)
+    if which == "R_CH":
+        x0 = tgt.expr("X", T0=1)
+        field_images = {src.jet("P"): one.div(x0)}
+        for i in range(1, n + 1):
+            field_images[src.jet("Omega", i)] = 2 * tgt.expr("X", **{f"T{i}": 1})
+        op_images = {
+            "X": ((one.div(x0), "T0"),),
+            "T": ((one, "T1"), ((-tgt.expr("X", T1=1)).div(x0), "T0")),
+        }
+    elif which == "R_Q":
+        x0 = tgt.expr("x", T0=1)
+        field_images = {src.jet("u"): one.div(x0)}
+        for i in range(1, n + 1):
+            field_images[src.jet("w", i)] = tgt.expr("x", **{f"T{i}": 1})
+            field_images[src.jet("v", i, x=1)] = tgt.expr("x", T0=1, **{f"T{i}": 1})
+        op_images = {
+            "x": ((one.div(x0), "T0"),),
+            "t": ((one, "T1"), ((-tgt.expr("x", T1=1)).div(x0), "T0")),
+        }
+    elif which == "B_CH":
+        P = tgt.expr("P")
+        field_images = {src.jet("X", T0=1): one.div(P)}
+        for i in range(1, n + 1):
+            field_images[src.jet("X", **{f"T{i}": 1})] = \
+                Fraction(1, 2) * tgt.expr("Omega", i)
+        op_images = {
+            "T0": ((one.div(P), "X"),),
+            "T1": ((one, "T"), (Fraction(1, 2) * tgt.expr("Omega", 1), "X")),
+        }
+    elif which == "B_Q":
+        u = tgt.expr("u")
+        field_images = {src.jet("x", T0=1): one.div(u)}
+        for i in range(1, n + 1):
+            field_images[src.jet("x", **{f"T{i}": 1})] = tgt.expr("w", i)
+        op_images = {
+            "T0": ((one.div(u), "x"),),
+            "T1": ((one, "t"), (tgt.expr("w", 1), "x")),
+        }
+    else:  # C_MR
+        P = tgt.expr("P")
+        gap = P - tgt.expr("P", X=1)
+        field_images = {src.jet("u"): (P * P).div(gap)}
+        for i in range(1, n + 1):
+            field_images[src.jet("w", i)] = \
+                Fraction(1, 2) * (tgt.expr("Omega", i, X=1) + tgt.expr("Omega", i))
+            field_images[src.jet("v", i, x=1)] = \
+                (tgt.expr("Omega", i, X=2) + tgt.expr("Omega", i, X=1)).div(2 * P)
+        op_images = {
+            "x": ((P.div(gap), "X"),),
+            "t": ((one, "T"), (tgt.expr("P", T=1).div(gap), "X")),
+        }
+    return field_images, op_images
 
 
 def build_map(which, n):
     """Construct one of the five named maps for hierarchy size n."""
     hier._check_n(n)
-    chs, qs, rs = hier.ch_space(n), hier.q_space(n), hier.r_space(n)
-    one = RatExpr.const(1)
-    if which == "R_CH":
-        x0 = _rx(rs, "X", T0=1)
-        field_images = {chs.jet("P"): one.div(x0)}
-        for i in range(1, n + 1):
-            field_images[chs.jet("Omega", i)] = 2 * _rx(rs, "X", **{f"T{i}": 1})
-        op_images = {
-            "X": ((one.div(x0), "T0"),),
-            "T": ((one, "T1"), ((-_rx(rs, "X", T1=1)).div(x0), "T0")),
-        }
-        return DerivationMap("R_CH", chs, rs, field_images, op_images)
-    if which == "R_Q":
-        x0 = _rx(rs, "x", T0=1)
-        field_images = {qs.jet("u"): one.div(x0)}
-        for i in range(1, n + 1):
-            field_images[qs.jet("w", i)] = _rx(rs, "x", **{f"T{i}": 1})
-            field_images[qs.jet("v", i, x=1)] = _rx(rs, "x", T0=1, **{f"T{i}": 1})
-        op_images = {
-            "x": ((one.div(x0), "T0"),),
-            "t": ((one, "T1"), ((-_rx(rs, "x", T1=1)).div(x0), "T0")),
-        }
-        return DerivationMap("R_Q", qs, rs, field_images, op_images)
-    if which == "B_CH":
-        P = _rx(chs, "P")
-        field_images = {rs.jet("X", T0=1): one.div(P)}
-        for i in range(1, n + 1):
-            field_images[rs.jet("X", **{f"T{i}": 1})] = \
-                Fraction(1, 2) * _rx(chs, "Omega", i)
-        op_images = {
-            "T0": ((one.div(P), "X"),),
-            "T1": ((one, "T"), (Fraction(1, 2) * _rx(chs, "Omega", 1), "X")),
-        }
-        return DerivationMap("B_CH", rs, chs, field_images, op_images)
-    if which == "B_Q":
-        u = _rx(qs, "u")
-        field_images = {rs.jet("x", T0=1): one.div(u)}
-        for i in range(1, n + 1):
-            field_images[rs.jet("x", **{f"T{i}": 1})] = _rx(qs, "w", i)
-        op_images = {
-            "T0": ((one.div(u), "x"),),
-            "T1": ((one, "t"), (_rx(qs, "w", 1), "x")),
-        }
-        return DerivationMap("B_Q", rs, qs, field_images, op_images)
-    if which == "C_MR":
-        P = _rx(chs, "P")
-        px = _rx(chs, "P", X=1)
-        gap = P - px
-        field_images = {qs.jet("u"): (P * P).div(gap)}
-        for i in range(1, n + 1):
-            wi = _rx(chs, "Omega", i)
-            field_images[qs.jet("w", i)] = \
-                Fraction(1, 2) * (_rx(chs, "Omega", i, X=1) + wi)
-            field_images[qs.jet("v", i, x=1)] = \
-                (_rx(chs, "Omega", i, X=2) + _rx(chs, "Omega", i, X=1)).div(2 * P)
-        op_images = {
-            "x": ((P.div(gap), "X"),),
-            "t": ((one, "T"), (_rx(chs, "P", T=1).div(gap), "X")),
-        }
-        return DerivationMap("C_MR", qs, chs, field_images, op_images)
-    raise ValueError(f"unknown map selector {which!r}")
+    if which not in _ENDS:
+        raise ValueError(f"unknown map selector {which!r}")
+    src, tgt = (space(n) for space in _ENDS[which])
+    return DerivationMap(which, src, tgt, *_images(which, n, src, tgt))
 
 
 def back_mix_map(n):
-    """B_CH and B_Q fused on the mixed space, sharing the R-space derivations."""
+    """B_CH and B_Q merged on the mixed space, sharing the R-space derivations."""
     rs, ms = hier.r_space(n), hier.mr_space(n)
-    one = RatExpr.const(1)
-    P = _rx(ms, "P")
-    u = _rx(ms, "u")
-    field_images = {
-        rs.jet("X", T0=1): one.div(P),
-        rs.jet("x", T0=1): one.div(u),
-    }
-    for i in range(1, n + 1):
-        field_images[rs.jet("X", **{f"T{i}": 1})] = Fraction(1, 2) * _rx(ms, "Omega", i)
-        field_images[rs.jet("x", **{f"T{i}": 1})] = _rx(ms, "w", i)
-    op_images = {
-        "T0": ((one.div(P), "X"), (one.div(u), "x")),
-        "T1": ((one, "T"), (Fraction(1, 2) * _rx(ms, "Omega", 1), "X"),
-               (one, "t"), (_rx(ms, "w", 1), "x")),
-    }
-    return DerivationMap("B_MIX", rs, ms, field_images, op_images)
+    ch_fields, ch_ops = _images("B_CH", n, rs, ms)
+    q_fields, q_ops = _images("B_Q", n, rs, ms)
+    op_images = {v: ch_ops[v] + q_ops[v] for v in ch_ops}
+    return DerivationMap("B_MIX", rs, ms, {**ch_fields, **q_fields}, op_images)
 
 
 def miura_mix_map(n):
     """C_MR extended to the mixed space, identical on the CH fields."""
     ms, chs = hier.mr_space(n), hier.ch_space(n)
-    one = RatExpr.const(1)
-    P = _rx(chs, "P")
-    gap = P - _rx(chs, "P", X=1)
-    field_images = {ms.jet("P"): P, ms.jet("u"): (P * P).div(gap)}
+    field_images, op_images = _images("C_MR", n, ms, chs)
+    field_images[ms.jet("P")] = chs.expr("P")
     for i in range(1, n + 1):
-        field_images[ms.jet("Omega", i)] = _rx(chs, "Omega", i)
-        field_images[ms.jet("w", i)] = \
-            Fraction(1, 2) * (_rx(chs, "Omega", i, X=1) + _rx(chs, "Omega", i))
-        field_images[ms.jet("v", i, x=1)] = \
-            (_rx(chs, "Omega", i, X=2) + _rx(chs, "Omega", i, X=1)).div(2 * P)
-    op_images = {
-        "X": ((one, "X"),),
-        "T": ((one, "T"),),
-        "x": ((P.div(gap), "X"),),
-        "t": ((one, "T"), (_rx(chs, "P", T=1).div(gap), "X")),
-    }
+        field_images[ms.jet("Omega", i)] = chs.expr("Omega", i)
+    one = RatExpr.const(1)
+    op_images.update(X=((one, "X"),), T=((one, "T"),))
     return DerivationMap("C_MR_MIX", ms, chs, field_images, op_images)
-
-
-MAP_NAMES = ("R_CH", "R_Q", "B_CH", "B_Q", "C_MR")
 
 
 def commutation_pairs(m):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from jetcalc import diffalg
 from jetcalc.claims import CLAIM_IDS, run_all, run_claim
 
 
@@ -71,14 +70,14 @@ def test_parallel_schedule_matches_sequential():
 
 
 def test_engine_error_is_reported_not_raised():
-    old = diffalg.get_term_cap()
-    diffalg.set_term_cap(6)
-    try:
-        rep = run_claim("C9", 2)
-    finally:
-        diffalg.set_term_cap(old)
+    rep = run_claim("C9", 2, term_cap=6)
     assert rep.status == "error"
     assert any("TermCapError" in c.note for c in rep.checks if c.status == "error")
+
+
+def test_term_cap_does_not_leak_into_later_calls():
+    run_all(1, claims=["C9"], term_cap=50)
+    assert run_claim("C3", 3).status == "pass"
 
 
 def test_step_cap_error_is_reported():

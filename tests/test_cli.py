@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from jetcalc.claims import run_claim
 from jetcalc.cli import main
 
 
@@ -35,6 +36,8 @@ def test_gen_json_is_valid(capsys):
 
 def test_verify_unknown_claim(capsys):
     assert main(["verify", "--claim", "C42"]) == 2
+    assert main(["verify", "--claim", "C1", "--n-max", "1", "--jobs", "1",
+                 "--term-cap", "0"]) == 2
 
 
 def test_verify_headline_at_n1(capsys):
@@ -72,6 +75,13 @@ def test_verify_engine_error_exit_code(tmp_path):
     assert any(r["status"] == "error" for r in records)
 
 
+def test_verify_term_cap_does_not_leak(tmp_path):
+    path = tmp_path / "c.json"
+    main(["verify", "--claim", "C9", "--n-max", "1", "--jobs", "1",
+          "--term-cap", "50", "--report", str(path)])
+    assert run_claim("C3", 3).status == "pass"
+
+
 def test_reduce_prolongation(capsys):
     assert main(["reduce", "--system", "ch", "--n", "1", "--expr", "P_{X,T}"]) == 0
     out = capsys.readouterr().out.strip()
@@ -92,6 +102,10 @@ def test_eval_is_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+def test_eval_without_well_conditioned_point(capsys):
+    assert main(["eval", "--space", "r", "--n", "2", "--expr", "1/X_{T0,T1,T2}"]) == 3
 
 
 def test_usage_error_from_argparse():

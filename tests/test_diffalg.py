@@ -206,16 +206,12 @@ def test_cofactor_text_roundtrip():
 
 
 def test_term_cap_guard_is_distinct_error():
-    old = diffalg.get_term_cap()
-    diffalg.set_term_cap(8)
-    try:
+    with diffalg.term_cap(8):
         big = rx("X_{T0} + X_{T1} + X_{T0,T0} + 1")
         with pytest.raises(TermCapError):
             acc = big
             for _ in range(6):
                 acc = acc * big
-    finally:
-        diffalg.set_term_cap(old)
 
 
 def test_substitute_jet_exact():

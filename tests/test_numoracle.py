@@ -9,7 +9,7 @@ from jetcalc.diffalg import Cofactor, proportional
 from jetcalc.exprio import parse
 from jetcalc.hierarchies import ch_space, gen_cbs_family, gen_ch, q_space, r_space
 from jetcalc.numoracle import (FD_TOL, JetPoint, MissingJetError,
-                               SmallDenominatorError, TestFunction,
+                               NumericError, SmallDenominatorError, TestFunction,
                                confirm_zero, eval_expr, fd_check,
                                numeric_proportionality, relative_residual)
 from jetcalc.transform import build_map, transport
@@ -138,3 +138,15 @@ def test_relative_residual_scales_by_term_magnitude():
     p = _point(R2, {R2.jet("X", T0=1): 1.0})
     assert relative_residual(big, p) == pytest.approx(
         (1000000 + 1) / (1000000 + 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("check", [
+    lambda e: confirm_zero(e, R2, seed=0),
+    lambda e: numeric_proportionality(e, e, proportional(e, e)),
+    lambda e: fd_check(e, "T0", TestFunction(R2, seed=0)),
+], ids=["confirm_zero", "numeric_proportionality", "fd_check"])
+def test_sampler_gives_up_without_well_conditioned_points(check):
+    # X is a sum of two-variable terms, so a jet on three variables is 0
+    # at every point and no denominator is ever usable
+    with pytest.raises(NumericError):
+        check(parse("1/X_{T0,T1,T2}", R2))
