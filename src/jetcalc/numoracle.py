@@ -3,10 +3,35 @@
 An independent numeric route for the symbolic engine: test functions are
 analytic with closed-form derivatives of every order (exp/sin factors whose
 jets come from the derivative recurrence, never from differencing), so a
-JetPoint carries the internally consistent jets of a genuine function.  For
-claims that hold only modulo a rewrite system, consistent_point computes the
-led jets from the (prolonged) rule right sides so the sample satisfies the
-oriented equations to machine precision.
+sample carries the internally consistent jets of a genuine function.  For
+claims that hold only modulo a rewrite system, the led jets are computed from
+the (prolonged) rule right sides so the sample satisfies the oriented
+equations to machine precision.
+
+A check is lowered once and then run at every sample point.  Lowering builds
+a plan for a (system, jet set, test function), which lives as long as the
+check: one slot per jet, in the post-order of the on-shell dependencies (a
+led jet after the jets of its right side).  A free jet's slot holds the test
+function's terms for that jet; their exp and sin factors, with the powers
+a**k and b**k and the phase shifts k*pi/2 already in floats, are shared by
+the jets of a field.  A led jet's slot holds its rule's prolonged right side
+as float programs, one (coefficient, factors) per term, where a factor is a
+power x**e of an earlier slot's value.  The checked expressions become
+programs the same way.  So `RewriteSystem.match`, `prolonged_rhs` and every
+Fraction-to-float conversion run once per check.  At a point, the plan
+evaluates each test-function factor once, fills the slots in order, and
+appends every power that a program uses to a flat table of floats; the
+programs read their factors from that table.
+
+The float operations are those of evaluating each expression directly, in
+the same order, so residuals and reports do not depend on the lowering or
+on the interpreter: a term is its coefficient times its factors, multiplied
+left to right; a free jet adds its terms left to right from 0.0; a led jet
+or checked expression takes the math.fsum of its terms, and its scale adds
+the terms' magnitudes left to right (not with the builtin sum(), which
+compensates float sums from Python 3.12 on); a sine's argument is
+(b*w + phi) + shift.  A led jet or an expression whose denominator is below
+DEN_FLOOR relative to its term magnitudes rejects the point.
 """
 
 from __future__ import annotations
@@ -15,9 +40,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from functools import reduce
+from itertools import chain, islice
+from math import fsum, prod
+from operator import add, itemgetter
 
-from .diffalg import DiffAlgError, RatExpr
+from .diffalg import DiffAlgError, RatExpr, equivalent
 
 ZERO_TOL = 1e-9
 FD_TOL = 1e-6
@@ -79,6 +107,13 @@ class TestFunction:
                         terms.append((self._coeff(rng),
                                       {p: self._exp(rng), q: self._sin(rng)}))
             self.terms[field] = terms
+        # the same parameters in floats: (coeff, {var: (rate, phase)}), where
+        # phase is None for an exp factor
+        self._float_terms = {
+            field: [(float(coeff), {var: (float(f[1]), None if f[0] == "exp" else float(f[2]))
+                                    for var, f in factors.items()})
+                    for coeff, factors in terms]
+            for field, terms in self.terms.items()}
 
     @staticmethod
     def _coeff(rng):
@@ -96,35 +131,35 @@ class TestFunction:
         phi = Fraction(rng.randrange(0, 6283), 1000)
         return ("sin", b, phi)
 
-    def jet_value(self, jet, coords):
-        total = 0.0
-        for coeff, factors in self.terms[jet.field]:
-            term = float(coeff)
-            dead = False
+    def _jet_terms(self, jet):
+        """jet's nonvanishing terms in floats, as (coeff, factors) with one
+        (var, rate, rate**k, phase, k*pi/2) factor per variable the term
+        depends on; phase and shift are None for an exp factor."""
+        out = []
+        for coeff, factors in self._float_terms[jet.field]:
+            compiled = []
             for var, order in zip(jet.field.deps, jet.orders):
                 f = factors.get(var)
                 if f is None:
                     if order:
-                        dead = True
                         break
                     continue
-                w = coords[var]
-                if f[0] == "exp":
-                    a = float(f[1])
-                    term *= (a ** order) * math.exp(a * w)
-                else:
-                    b, phi = float(f[1]), float(f[2])
-                    term *= (b ** order) * math.sin(b * w + phi + order * math.pi / 2)
-            if not dead:
-                total += term
-        return total
+                rate, phase = f
+                compiled.append((var, rate, rate ** order, phase,
+                                 None if phase is None else order * math.pi / 2))
+            else:
+                out.append((coeff, tuple(compiled)))
+        return out
+
+    def jet_value(self, jet, coords):
+        return self.point((jet,), coords).values[jet]
 
     def sample_coords(self, rng):
         return {v: rng.uniform(-1.0, 1.0) for v in self.space.vars}
 
     def point(self, jets, coords):
-        values = {j: self.jet_value(j, coords) for j in jets}
-        return JetPoint(values, f"TestFunction({self.space.name}, seed={self.seed})")
+        return _Plan(self, jets).point(
+            coords, f"TestFunction({self.space.name}, seed={self.seed})")
 
 
 def hash_stable(text):
@@ -135,28 +170,165 @@ def hash_stable(text):
     return h
 
 
-def _eval_poly(poly, getter):
-    total = []
-    scale = 0.0
-    for mono, coeff in poly.terms.items():
-        v = float(coeff)
-        for jet, exp in mono.factors:
-            v *= getter(jet) ** exp
-        total.append(v)
-        scale += abs(v)
-    return math.fsum(total), scale
+def _lower(poly, slot):
+    """poly as (coefficient, ((slot, exponent), ...)) per term."""
+    return [(float(coeff), tuple((slot[jet], exp) for jet, exp in mono.factors))
+            for mono, coeff in poly.terms.items()]
+
+
+def _gather(indices):
+    """A getter of the table entries at indices, as a sequence (itemgetter
+    of a single index would return the bare entry)."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0, 0))
+
+
+def _terms(program, table):
+    """Each term's coefficient times its factors, multiplied left to right."""
+    return [prod(factors(table), start=coeff) for coeff, factors in program]
+
+
+def _scale(terms):
+    """Summed term magnitude, added left to right."""
+    return reduce(add, map(abs, terms), 0.0)
+
+
+def _quotient(num, den, table):
+    """(numerator, numerator terms, denominator) of compiled programs;
+    denominators below the floor are rejected."""
+    terms = _terms(den, table)
+    d = fsum(terms)
+    if abs(d) <= DEN_FLOOR * max(1.0, _scale(terms)):
+        raise SmallDenominatorError(f"denominator {d!r} too small")
+    terms = _terms(num, table)
+    return fsum(terms), terms, d
+
+
+class _Plan:
+    """Expressions lowered once for a test function (see the module docstring).
+
+    Slot i holds one jet, filled by steps[i]: (terms, None) for a free jet,
+    whose terms read the test-function factors listed in `factors`, or the
+    (num, den) programs of the rule that leads the jet.  After filling a
+    slot, a run appends the powers of its value listed in powers[i] to a
+    table, and programs read their factors from that table.  programs[k]
+    is exprs[k]'s numerator and denominator.  Without a test function the
+    free jets have no steps, and `table` takes their values instead.
+    """
+
+    __slots__ = ("slot", "steps", "factors", "powers", "programs")
+
+    def __init__(self, tf, jets, system=None, exprs=()):
+        slot = self.slot = {}
+        rhs = []  # per slot: None for a free jet, or its rule's lowered (num, den)
+
+        def visit(jet):
+            rule = None if system is None else system.match(jet)
+            lowered = None
+            if rule is not None:
+                e = system.prolonged_rhs(rule, jet)
+                for dep in e.jets():
+                    if dep not in slot:
+                        visit(dep)
+                lowered = (_lower(e.num, slot), _lower(e.den, slot))
+            slot[jet] = len(rhs)
+            rhs.append(lowered)
+
+        for jet in chain(jets, *(e.jets() for e in exprs)):
+            if jet not in slot:
+                visit(jet)
+        programs = [(_lower(e.num, slot), _lower(e.den, slot)) for e in exprs]
+
+        used = [set() for _ in rhs]
+        for pair in chain(programs, filter(None, rhs)):
+            for program in pair:
+                for _, factors in program:
+                    for s, exp in factors:
+                        used[s].add(exp)
+        self.powers = [sorted(exps) for exps in used]
+        index = {}
+        for s, exps in enumerate(self.powers):
+            for exp in exps:
+                index[s, exp] = len(index)
+
+        def compiled(program):
+            return [(coeff, _gather([index[f] for f in factors]))
+                    for coeff, factors in program]
+
+        self.programs = [(compiled(num), compiled(den)) for num, den in programs]
+        # the jets of one field share their test-function factors
+        factor = {}
+        self.steps = []
+        for jet, lowered in zip(slot, rhs):
+            if lowered is not None:
+                self.steps.append((compiled(lowered[0]), compiled(lowered[1])))
+            elif tf is not None:
+                self.steps.append(([(coeff, _gather([factor.setdefault(f, len(factor))
+                                                     for f in fs]))
+                                    for coeff, fs in tf._jet_terms(jet)], None))
+        self.factors = list(factor)
+
+    def run(self, coords):
+        """The slot values at coords, and their table of powers."""
+        factors = [power * math.exp(rate * coords[var]) if phase is None
+                   else power * math.sin(rate * coords[var] + phase + shift)
+                   for var, rate, power, phase, shift in self.factors]
+        values = []
+        table = []
+        for (a, b), exps in zip(self.steps, self.powers):
+            if b is None:
+                x = reduce(add, _terms(a, factors), 0.0)
+            else:
+                n, _, d = _quotient(a, b, table)
+                x = n / d
+            values.append(x)
+            for exp in exps:
+                table.append(x ** exp)
+        return values, table
+
+    def point(self, coords, provenance):
+        values, _ = self.run(coords)
+        return JetPoint(dict(zip(self.slot, values)), provenance)
+
+    def table(self, values):
+        """The table of powers of the slot values of a plan without led jets."""
+        return [x ** exp for x, exps in zip(values, self.powers) for exp in exps]
+
+
+class _Sample:
+    """A plan at one sample's coordinates.  The plan runs on first use,
+    inside eval_expr or relative_residual, so a point rejected for a led
+    jet's denominator leaves through those public names like one rejected
+    for the checked expression's own."""
+
+    __slots__ = ("plan", "coords", "_table")
+
+    def __init__(self, plan, coords):
+        self.plan = plan
+        self.coords = coords
+        self._table = None
+
+    def table(self):
+        if self._table is None:
+            self._table = self.plan.run(self.coords)[1]
+        return self._table
 
 
 def _evaluate(e, point):
-    """(numerator, summed numerator term magnitude, denominator) at a JetPoint
-    or jet getter; denominators below the floor are rejected."""
-    e = RatExpr._coerce(e)
-    getter = point.value if isinstance(point, JetPoint) else point
-    num, scale = _eval_poly(e.num, getter)
-    den, dscale = _eval_poly(e.den, getter)
-    if abs(den) <= DEN_FLOOR * max(1.0, dscale):
-        raise SmallDenominatorError(f"denominator {den!r} too small")
-    return num, scale, den
+    """(numerator, numerator terms, denominator) of e at a JetPoint or jet
+    getter, or of one of a plan's programs at a _Sample of that plan;
+    denominators below the floor are rejected."""
+    if isinstance(point, _Sample):
+        num, den = e
+        table = point.table()
+    else:
+        e = RatExpr._coerce(e)
+        getter = point.value if isinstance(point, JetPoint) else point
+        plan = _Plan(None, (), exprs=(e,))
+        table = plan.table([getter(jet) for jet in plan.slot])
+        num, den = plan.programs[0]
+    return _quotient(num, den, table)
 
 
 def eval_expr(e, point):
@@ -167,8 +339,8 @@ def eval_expr(e, point):
 
 def relative_residual(e, point):
     """|num| relative to the summed magnitude of the numerator's terms."""
-    num, scale, _ = _evaluate(e, point)
-    return abs(num) / max(scale, 1e-300)
+    num, terms, _ = _evaluate(e, point)
+    return abs(num) / max(_scale(terms), 1e-300)
 
 
 def _samples(tf, rng, attempts, evaluate):
@@ -189,26 +361,11 @@ def consistent_point(system, jets, tf, coords):
     """JetPoint whose led jets are computed from the system's rule right sides.
 
     Free jets take the test function's values; a jet matching a (prolonged)
-    rule is evaluated from the rule instead, recursively -- the ranking
-    guarantees the recursion bottoms out on free jets.
+    rule is evaluated from the rule instead, after the jets of its right
+    side -- the ranking guarantees this bottoms out on free jets.
     """
-    memo = {}
-
-    def value(jet):
-        v = memo.get(jet)
-        if v is not None:
-            return v
-        rule = system.match(jet)
-        if rule is None:
-            v = tf.jet_value(jet, coords)
-        else:
-            v = eval_expr(system.prolonged_rhs(rule, jet), value)
-        memo[jet] = v
-        return v
-
-    for j in jets:
-        value(j)
-    return JetPoint(dict(memo), f"consistent({tf.space.name}, seed={tf.seed})")
+    return _Plan(tf, jets, system).point(
+        coords, f"consistent({tf.space.name}, seed={tf.seed})")
 
 
 def confirm_zero(e, space, seed, points=100, system=None):
@@ -218,12 +375,11 @@ def confirm_zero(e, space, seed, points=100, system=None):
     if e.is_zero():
         return 0.0
     tf = TestFunction(space, seed)
-    jets = list(e.jets())
+    plan = _Plan(tf, (), system, (e,))
+    lowered = plan.programs[0]
 
     def residual(coords):
-        p = consistent_point(system, jets, tf, coords) if system is not None \
-            else tf.point(jets, coords)
-        return relative_residual(e, p)
+        return relative_residual(lowered, _Sample(plan, coords))
 
     worst = 0.0
     samples = _samples(tf, random.Random(seed * 7919 + 13), 40 * points, residual)
@@ -260,14 +416,17 @@ def numeric_proportionality(a, b, cofactor, trials=100, seed=0, tol=ZERO_TOL):
     """True iff a evaluates to cofactor*b within tol at all sampled points."""
     a = RatExpr._coerce(a)
     b = RatExpr._coerce(b)
-    space = a.space() or b.space()
-    tf = TestFunction(space, seed)
     cof = cofactor.as_ratexpr()
-    jets = set(a.jets()) | set(b.jets()) | set(cof.jets())
+    space = a.space() or b.space() or cof.space()
+    if space is None:
+        return equivalent(a, cof.mul(b))
+    tf = TestFunction(space, seed)
+    plan = _Plan(tf, (), exprs=(a, cof, b))
+    la, lcof, lb = plan.programs
 
     def values(coords):
-        p = tf.point(jets, coords)
-        return eval_expr(a, p), eval_expr(cof, p) * eval_expr(b, p)
+        p = _Sample(plan, coords)
+        return eval_expr(la, p), eval_expr(lcof, p) * eval_expr(lb, p)
 
     samples = _samples(tf, random.Random(seed * 31337 + 7), 40 * trials, values)
     return not any(abs(va - vb) > tol * max(1.0, abs(va), abs(vb))

@@ -1,8 +1,12 @@
-"""Shared test utilities: constrained samplers for transportable expressions."""
+"""Shared test utilities: constrained samplers for transportable expressions and
+the reference numeric oracle."""
 
+import math
+import random
 from fractions import Fraction
 
 from jetcalc.diffalg import DiffPoly, Monomial, RatExpr
+from jetcalc.numoracle import DEN_FLOOR, ZERO_TOL, SmallDenominatorError, TestFunction
 
 
 def transportable_jets(m, depth=2, evo_cap=1):
@@ -45,3 +49,118 @@ def random_poly_from(jets, rng, max_terms=3, max_factors=2, max_exp=2):
         return RatExpr.const(1)
     return RatExpr.make(DiffPoly(terms))
 
+
+
+# -- reference numeric oracle ------------------------------------------------
+# The recursive on-shell evaluator the library used before it lowered checks
+# into float programs, kept verbatim so that tests can demand bit-identical
+# floats from the library.
+
+def reference_jet_value(tf, jet, coords):
+    total = 0.0
+    for coeff, factors in tf.terms[jet.field]:
+        term = float(coeff)
+        dead = False
+        for var, order in zip(jet.field.deps, jet.orders):
+            f = factors.get(var)
+            if f is None:
+                if order:
+                    dead = True
+                    break
+                continue
+            w = coords[var]
+            if f[0] == "exp":
+                a = float(f[1])
+                term *= (a ** order) * math.exp(a * w)
+            else:
+                b, phi = float(f[1]), float(f[2])
+                term *= (b ** order) * math.sin(b * w + phi + order * math.pi / 2)
+        if not dead:
+            total += term
+    return total
+
+
+def _reference_eval_poly(poly, getter):
+    total = []
+    scale = 0.0
+    for mono, coeff in poly.terms.items():
+        v = float(coeff)
+        for jet, exp in mono.factors:
+            v *= getter(jet) ** exp
+        total.append(v)
+        scale += abs(v)
+    return math.fsum(total), scale
+
+
+def reference_evaluate(e, getter):
+    """(numerator, numerator scale, denominator) of e under a jet getter."""
+    num, scale = _reference_eval_poly(e.num, getter)
+    den, dscale = _reference_eval_poly(e.den, getter)
+    if abs(den) <= DEN_FLOOR * max(1.0, dscale):
+        raise SmallDenominatorError(f"denominator {den!r} too small")
+    return num, scale, den
+
+
+def reference_consistent_point(system, jets, tf, coords):
+    """{jet: value} with led jets computed recursively from the rules."""
+    memo = {}
+
+    def value(jet):
+        v = memo.get(jet)
+        if v is not None:
+            return v
+        rule = system.match(jet) if system is not None else None
+        if rule is None:
+            v = reference_jet_value(tf, jet, coords)
+        else:
+            num, _, den = reference_evaluate(system.prolonged_rhs(rule, jet), value)
+            v = num / den
+        memo[jet] = v
+        return v
+
+    for j in jets:
+        value(j)
+    return memo
+
+
+def reference_confirm_zero(e, space, seed, points=100, system=None):
+    tf = TestFunction(space, seed)
+    jets = list(e.jets())
+    rng = random.Random(seed * 7919 + 13)
+    worst, accepted = 0.0, 0
+    for _ in range(40 * points):
+        coords = tf.sample_coords(rng)
+        try:
+            values = reference_consistent_point(system, jets, tf, coords)
+            num, scale, _ = reference_evaluate(e, values.__getitem__)
+        except SmallDenominatorError:
+            continue
+        worst = max(worst, abs(num) / max(scale, 1e-300))
+        accepted += 1
+        if accepted == points:
+            return worst
+    raise AssertionError("reference sampler ran out of points")
+
+
+def reference_numeric_proportionality(a, b, cofactor, trials=100, seed=0, tol=ZERO_TOL):
+    tf = TestFunction(a.space() or b.space(), seed)
+    cof = cofactor.as_ratexpr()
+    jets = set(a.jets()) | set(b.jets()) | set(cof.jets())
+    rng = random.Random(seed * 31337 + 7)
+    accepted = 0
+    for _ in range(40 * trials):
+        coords = tf.sample_coords(rng)
+        values = {j: reference_jet_value(tf, j, coords) for j in jets}
+        try:
+            na, _, da = reference_evaluate(a, values.__getitem__)
+            nc, _, dc = reference_evaluate(cof, values.__getitem__)
+            nb, _, db = reference_evaluate(b, values.__getitem__)
+        except SmallDenominatorError:
+            continue
+        va, vb = na / da, (nc / dc) * (nb / db)
+        if abs(va - vb) > tol * max(1.0, abs(va), abs(vb)):
+            return False
+        accepted += 1
+        if accepted == trials:
+            return True
+    raise AssertionError("reference sampler ran out of points")

@@ -2,16 +2,21 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from jetcalc.diffalg import Cofactor, proportional
+from _helpers import (random_poly_from, reference_confirm_zero,
+                      reference_consistent_point, reference_numeric_proportionality)
+from jetcalc import claims
+from jetcalc.diffalg import Cofactor, RatExpr, proportional
 from jetcalc.exprio import parse
 from jetcalc.hierarchies import ch_space, gen_cbs_family, gen_ch, q_space, r_space
 from jetcalc.numoracle import (FD_TOL, JetPoint, MissingJetError,
                                NumericError, SmallDenominatorError, TestFunction,
-                               confirm_zero, eval_expr, fd_check,
+                               confirm_zero, consistent_point, eval_expr, fd_check,
                                numeric_proportionality, relative_residual)
+from jetcalc.reduction import standard_systems
 from jetcalc.transform import build_map, transport
 
 R2 = r_space(2)
@@ -150,3 +155,77 @@ def test_sampler_gives_up_without_well_conditioned_points(check):
     # at every point and no denominator is ever usable
     with pytest.raises(NumericError):
         check(parse("1/X_{T0,T1,T2}", R2))
+
+
+def test_numeric_proportionality_without_jets_is_exact():
+    two, one = RatExpr.const(2), RatExpr.const(1)
+    assert numeric_proportionality(two, one, proportional(two, one))
+    assert not numeric_proportionality(two, one, Cofactor(3, ()))
+
+
+class _ZeroChecks:
+    """Stands in for a claim runner and keeps the expressions the claim
+    hands to zero_check."""
+
+    step_cap = 10_000
+
+    def __init__(self):
+        self.calls = []
+
+    def zero_check(self, label, expr, space, system=None, note=""):
+        self.calls.append((expr, space, system))
+
+    def add(self, *args):
+        pass
+
+    def vacuous(self, why):
+        pass
+
+
+def _zero_checks(claim, n):
+    runner = _ZeroChecks()
+    getattr(claims, "_" + claim.lower())(runner, n)
+    assert runner.calls
+    return runner.calls
+
+
+@pytest.mark.parametrize("claim,n,on_shell", [
+    ("C3", 3, True), ("C5", 3, True), ("C8", 2, True), ("C5", 2, False)])
+def test_confirm_zero_is_bit_identical_to_the_reference(claim, n, on_shell):
+    # C3/C5 run on-shell for BCBS and C8 for CH; off-shell, a C5 expression
+    # leaves a residual of order one
+    for k, (expr, space, system) in enumerate(_zero_checks(claim, n)):
+        seed = 1000 * n + k
+        system = system if on_shell else None
+        got = confirm_zero(expr, space, seed, points=100, system=system)
+        assert got == reference_confirm_zero(expr, space, seed, points=100, system=system)
+
+
+def test_consistent_point_is_bit_identical_to_the_reference():
+    # the CH case of test_numeric_consistency_at_onshell_points
+    chs = ch_space(2)
+    sys2 = standard_systems("CH", 2)
+    tf = TestFunction(chs, seed=5)
+    rng = random.Random(5)
+    jets = [chs.jet("P", X=1), chs.jet("P", T=1), chs.jet("Omega", 1, X=3),
+            chs.jet("Omega", 2, X=2)]
+    for _ in range(30):
+        e = random_poly_from(jets, rng)
+        red = sys2.reduce(e)
+        coords = tf.sample_coords(rng)
+        wanted = set(e.jets()) | set(red.jets())
+        got = consistent_point(sys2, wanted, tf, coords).values
+        assert got == reference_consistent_point(sys2, wanted, tf, coords)
+
+
+def test_numeric_proportionality_is_bit_identical_to_the_reference():
+    # the good and the mutated cofactor of acceptance criterion 7
+    img = transport(build_map("R_CH", 2), gen_ch(2)[1].residual)
+    target = gen_cbs_family(2).bcbs[0].residual
+    good = proportional(img, target)
+    bad = Cofactor(good.coeff * (1 + Fraction(1, 1000)), good.powers)
+    for cof, expected in ((good, True), (bad, False)):
+        got = numeric_proportionality(img, target, cof, trials=100, seed=0)
+        assert got == reference_numeric_proportionality(img, target, cof,
+                                                        trials=100, seed=0)
+        assert got is expected
