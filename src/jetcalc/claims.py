@@ -186,7 +186,7 @@ def _substituted_cbs(n, i):
     m0_expr = hier.m0_image(n)
     expr = eq.residual
     for jet in list(expr.jets()):
-        if jet.field != m_field:
+        if jet.field is not m_field:
             continue
         orders = jet.multi_index()
         if orders.get("T0", 0) >= 1:
@@ -232,9 +232,10 @@ def _c4(r, n):
                              cross, fam.bmcbs[i - 1].residual, rsp)
 
 
-def _miura_substituted_bmcbs(n, i):
+def _miura_substituted_bmcbs(n, i, step_cap=reduction.DEFAULT_STEP_CAP):
     """bmcbs_i with x_{i+1} solved from the mixed relation and every
-    T0-carrying x jet replaced by the prolonged height relation."""
+    T0-carrying x jet replaced by the prolonged height relation; more than
+    step_cap height substitutions raise StepCapError."""
     rsp = hier.r_space(n)
     fam = hier.gen_mcbs_family(n)
     expr = fam.bmcbs[i - 1].residual
@@ -247,23 +248,22 @@ def _miura_substituted_bmcbs(n, i):
               - rsp.expr("x", T0=2, **{f"T{i}": 1})
               + x0 * rsp.expr("X", **{f"T{i + 1}": 1}) / rsp.expr("X", T0=1))
     expr = substitute_jet(expr, rsp.jet("x", **{f"T{i + 1}": 1}), x_next)
-    for _ in range(10_000):
-        target = None
-        for jet in expr.jets():
-            if jet.field == x_field and jet.order_of("T0") >= 1:
-                target = jet
-                break
+    trace = []
+    while True:
+        target = next((jet for jet in expr.jets()
+                       if jet.field is x_field and jet.order_of("T0") >= 1), None)
         if target is None:
-            break
+            return expr
+        if len(trace) == step_cap:
+            raise reduction.StepCapError(
+                f"height substitution exceeded {step_cap} steps", trace[-12:])
         image = x0_img
         for var, k in target.multi_index().items():
             steps = k - 1 if var == "T0" else k
             for _ in range(steps):
                 image = image.total_derivative(var)
         expr = substitute_jet(expr, target, image)
-    else:
-        raise reduction.StepCapError("height substitution did not terminate", [])
-    return expr
+        trace.append(target.text())
 
 
 def _c5(r, n):
@@ -272,7 +272,7 @@ def _c5(r, n):
         return
     system = reduction.standard_systems("BCBS", n, step_cap=r.step_cap)
     for i in range(1, n):
-        expr = _miura_substituted_bmcbs(n, i)
+        expr = _miura_substituted_bmcbs(n, i, r.step_cap)
         r.zero_check(f"bmcbs_{i} under the Miura substitutions", expr,
                      hier.r_space(n), system=system)
 

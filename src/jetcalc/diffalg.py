@@ -8,6 +8,13 @@ integer content and common monomial factors, which is enough to decide whether
 the numerator is the zero polynomial.  There is deliberately no multivariate
 polynomial GCD; addition and multiplication instead look for exact-division
 common denominators to keep denominator towers like (P - P_X)^k flat.
+
+Spaces, fields and jets are canonical: a space's fields are created once,
+and each field hands out one JetVar per multi-index, so equality of jets and
+fields is identity.  Jets never cross a process boundary (reports are plain
+data), so identity is all the equality they need.  The monomial order is
+native: every Monomial carries a key whose plain tuple comparison is the
+order, so sorting and leading terms need no comparison function.
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd
+from operator import attrgetter
 
 
 DEFAULT_TERM_CAP = 200_000
@@ -131,10 +138,11 @@ class FieldSymbol:
 
     deps lists the variables the field actually depends on; total derivatives
     along other variables of the same space annihilate its jets (used by the
-    mixed space that hosts both hierarchies' fields at once).
+    mixed space that hosts both hierarchies' fields at once).  _jets holds the
+    field's one JetVar per multi-index.
     """
 
-    __slots__ = ("name", "index", "space", "deps", "prio", "_dep_pos", "_hash")
+    __slots__ = ("name", "index", "space", "deps", "prio", "_dep_pos", "_jets")
 
     def __init__(self, name, index, space, deps, prio):
         self.name = name
@@ -143,7 +151,7 @@ class FieldSymbol:
         self.deps = tuple(deps)
         self.prio = prio
         self._dep_pos = {v: i for i, v in enumerate(self.deps)}
-        self._hash = hash((space.name, name, index))
+        self._jets = {}
 
     def jet(self, **orders):
         counts = [0] * len(self.deps)
@@ -155,21 +163,8 @@ class FieldSymbol:
             counts[self._dep_pos[v]] = k
         return JetVar(self, tuple(counts))
 
-    def base_jet(self):
-        return JetVar(self, (0,) * len(self.deps))
-
     def label(self):
         return self.name if self.index is None else f"{self.name}[{self.index}]"
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (isinstance(other, FieldSymbol)
-                and self.name == other.name and self.index == other.index
-                and self.space.name == other.space.name)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"FieldSymbol({self.label()} on {self.space.name})"
@@ -179,16 +174,25 @@ class JetVar:
     """A field together with a multi-index of derivative orders.
 
     orders is aligned with field.deps; zero entries are simply zero slots.
+    JetVar(field, orders) returns the field's one jet for those orders, so
+    equal jets are the same object.  rkey is the inverted canonical key
+    (-field priority, -field index, -orders): monomials keep their factors
+    in descending rkey, and the smallest canonical key (largest rkey) is the
+    most significant position of the monomial order.
     """
 
-    __slots__ = ("field", "orders", "total", "_hash", "_key")
+    __slots__ = ("field", "orders", "total", "rkey")
 
-    def __init__(self, field, orders):
-        self.field = field
-        self.orders = orders
-        self.total = sum(orders)
-        self._key = (field.prio, field.index if field.index is not None else 0, orders)
-        self._hash = hash((field._hash, orders))
+    def __new__(cls, field, orders):
+        jet = field._jets.get(orders)
+        if jet is None:
+            jet = super().__new__(cls)
+            jet.field = field
+            jet.orders = orders
+            jet.total = sum(orders)
+            jet.rkey = (-field.prio, -(field.index or 0), tuple(-k for k in orders))
+            field._jets[orders] = jet
+        return jet
 
     def order_of(self, var):
         pos = self.field._dep_pos.get(var)
@@ -214,14 +218,11 @@ class JetVar:
 
     def dominates(self, other):
         """Componentwise >= on orders; same field required."""
-        return (self.field == other.field
+        return (self.field is other.field
                 and all(a >= b for a, b in zip(self.orders, other.orders)))
 
     def multi_index(self):
         return {v: k for v, k in zip(self.field.deps, self.orders) if k}
-
-    def sort_key(self):
-        return self._key
 
     def text(self):
         s = self.field.label()
@@ -231,15 +232,6 @@ class JetVar:
         if subs:
             s += "_{" + ",".join(subs) + "}"
         return s
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (isinstance(other, JetVar)
-                and self.orders == other.orders and self.field == other.field)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"JetVar({self.text()})"
@@ -252,15 +244,28 @@ class JetVar:
 class Monomial:
     """Product of jet variables with positive integer exponents.
 
-    factors is a tuple of (jet, exponent) sorted by the canonical jet key:
-    (field priority, field index, multi-index in declared variable order).
+    factors is a tuple of (jet, exponent) in descending jet rkey, which is
+    ascending canonical jet key (field priority, field index, multi-index in
+    declared variable order).  key is ((jet rkey, exponent), ...) over the
+    factors: plain tuple comparison of keys is the lexicographic monomial
+    order, where the jet with the smallest canonical key is the most
+    significant position.  It is a total order compatible with
+    multiplication, so leading-term exact division is sound.
     """
 
-    __slots__ = ("factors", "_hash")
+    __slots__ = ("factors", "_key", "_hash")
 
     def __init__(self, factors):
         self.factors = factors
+        self._key = None
         self._hash = hash(factors)
+
+    @property
+    def key(self):
+        # built on first use: most products are never ordered
+        if self._key is None:
+            self._key = tuple([(j.rkey, e) for j, e in self.factors])
+        return self._key
 
     @staticmethod
     def unit():
@@ -282,15 +287,12 @@ class Monomial:
         out = [(j, e) for j, e in merged.items() if e != 0]
         if any(e < 0 for _, e in out):
             raise ValueError("monomial exponents must be positive")
-        out.sort(key=lambda p: p[0].sort_key())
+        out.sort(key=lambda p: p[0].rkey, reverse=True)
         return Monomial(tuple(out))
-
-    def degree(self):
-        return sum(e for _, e in self.factors)
 
     def exp_of(self, jet):
         for j, e in self.factors:
-            if j == jet:
+            if j is jet:
                 return e
         return 0
 
@@ -304,11 +306,11 @@ class Monomial:
         i = j = 0
         while i < len(a) and j < len(b):
             ja, jb = a[i], b[j]
-            ka, kb = ja[0]._key, jb[0]._key
-            if ka < kb:
+            ka, kb = ja[0].rkey, jb[0].rkey
+            if ka > kb:
                 out.append(ja)
                 i += 1
-            elif kb < ka:
+            elif kb > ka:
                 out.append(jb)
                 j += 1
             else:
@@ -322,9 +324,9 @@ class Monomial:
     def divides(self, other):
         j = 0
         for jet, e in self.factors:
-            while j < len(other.factors) and other.factors[j][0]._key < jet._key:
+            while j < len(other.factors) and other.factors[j][0].rkey > jet.rkey:
                 j += 1
-            if j >= len(other.factors) or other.factors[j][0] != jet or other.factors[j][1] < e:
+            if j >= len(other.factors) or other.factors[j][0] is not jet or other.factors[j][1] < e:
                 return False
         return True
 
@@ -346,7 +348,7 @@ class Monomial:
         e = 0
         rest = []
         for j, k in self.factors:
-            if j == jet:
+            if j is jet:
                 e = k
             else:
                 rest.append((j, k))
@@ -369,32 +371,7 @@ class Monomial:
 
 
 _MONO_UNIT = Monomial(())
-
-
-def mono_cmp(a, b):
-    """Lexicographic monomial order: the jet with the smallest canonical key is
-    the most significant position.  Total order compatible with multiplication,
-    so leading-term exact division is sound."""
-    fa, fb = a.factors, b.factors
-    i = j = 0
-    while i < len(fa) and j < len(fb):
-        ka, kb = fa[i][0]._key, fb[j][0]._key
-        if ka < kb:
-            return 1    # a has a positive exponent where b has zero
-        if kb < ka:
-            return -1
-        if fa[i][1] != fb[j][1]:
-            return 1 if fa[i][1] > fb[j][1] else -1
-        i += 1
-        j += 1
-    if i < len(fa):
-        return 1
-    if j < len(fb):
-        return -1
-    return 0
-
-
-mono_sort_key = cmp_to_key(mono_cmp)
+_mono_key = attrgetter("key")
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +400,7 @@ class DiffPoly:
                     s = jet.field.space
                     if space is None:
                         space = s
-                    elif space is not s and space.name != s.name:
+                    elif space is not s:
                         raise SpaceMismatchError(
                             f"jets from spaces {space.name!r} and {s.name!r} in one polynomial")
         self._space = space
@@ -470,17 +447,17 @@ class DiffPoly:
                     yield j
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: mono_sort_key(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: t[0].key, reverse=True)
 
     def leading(self):
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        lm = max(self.terms, key=mono_sort_key)
+        lm = max(self.terms, key=_mono_key)
         return lm, self.terms[lm]
 
     def _check_space(self, other):
         if (self._space is not None and other._space is not None
-                and self._space.name != other._space.name):
+                and self._space is not other._space):
             raise SpaceMismatchError(
                 f"cannot combine spaces {self._space.name!r} and {other._space.name!r}")
 
@@ -512,12 +489,6 @@ class DiffPoly:
         if c == 1:
             return self
         return DiffPoly({m: c * q for m, q in self.terms.items()}, self._space)
-
-    def mul_term(self, mono, coeff):
-        if coeff == 0:
-            return _POLY_ZERO
-        return DiffPoly({m.mul(mono): c * coeff for m, c in self.terms.items()},
-                        _SCAN if mono.factors else self._space)
 
     def mul(self, other):
         self._check_space(other)
@@ -588,7 +559,7 @@ class DiffPoly:
         for _ in range(step_limit):
             if not work:
                 return DiffPoly(quot, self._space)
-            lm = max(work, key=mono_sort_key)
+            lm = max(work, key=_mono_key)
             if not glm.divides(lm):
                 return None
             qm = lm.div(glm)
@@ -610,9 +581,7 @@ class DiffPoly:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(tuple(sorted(
-                ((m, c) for m, c in self.terms.items()),
-                key=lambda t: mono_sort_key(t[0]))))
+            self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
     def __repr__(self):
@@ -740,10 +709,6 @@ class RatExpr:
     @staticmethod
     def from_jet(jet):
         return RatExpr(DiffPoly.from_jet(jet), _POLY_ONE)
-
-    @staticmethod
-    def from_poly(p):
-        return RatExpr.make(p)
 
     def space(self):
         return self.num.space() or self.den.space()
@@ -948,7 +913,7 @@ class Cofactor:
 
     def __init__(self, coeff, powers):
         self.coeff = Fraction(coeff)
-        self.powers = tuple(sorted(powers, key=lambda p: p[0].sort_key()))
+        self.powers = tuple(sorted(powers, key=lambda p: p[0].rkey, reverse=True))
 
     def as_ratexpr(self):
         out = RatExpr.const(self.coeff)

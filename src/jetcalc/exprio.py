@@ -234,15 +234,13 @@ def parse(text, space):
 # printing
 
 
-def _coeff_text(c):
-    return str(c)
-
-
 def _mono_text(mono):
     return "*".join(j.text() + (f"^{e}" if e != 1 else "") for j, e in mono.factors)
 
 
-def _poly_text(poly):
+def _poly_str(poly, coeff_str, mono_str, joiner):
+    """poly's terms in monomial order as signed coeff/monomial bodies; a unit
+    magnitude is left out of a non-constant term."""
     if poly.is_zero():
         return "0"
     bits = []
@@ -250,16 +248,20 @@ def _poly_text(poly):
         sign = "-" if coeff < 0 else "+"
         mag = -coeff if coeff < 0 else coeff
         if not mono.factors:
-            body = _coeff_text(mag)
+            body = coeff_str(mag)
         elif mag == 1:
-            body = _mono_text(mono)
+            body = mono_str(mono)
         else:
-            body = _coeff_text(mag) + "*" + _mono_text(mono)
+            body = coeff_str(mag) + joiner + mono_str(mono)
         if k == 0:
             bits.append(body if sign == "+" else "-" + body)
         else:
             bits.append(f" {sign} {body}")
     return "".join(bits)
+
+
+def _poly_text(poly):
+    return _poly_str(poly, str, _mono_text, "*")
 
 
 def print_text(e):
@@ -309,23 +311,7 @@ def _coeff_latex(c):
 
 
 def _poly_latex(poly):
-    if poly.is_zero():
-        return "0"
-    bits = []
-    for k, (mono, coeff) in enumerate(poly.sorted_terms()):
-        sign = "-" if coeff < 0 else "+"
-        mag = -coeff if coeff < 0 else coeff
-        if not mono.factors:
-            body = _coeff_latex(mag)
-        elif mag == 1:
-            body = _mono_latex(mono)
-        else:
-            body = _coeff_latex(mag) + _mono_latex(mono)
-        if k == 0:
-            bits.append(body if sign == "+" else "-" + body)
-        else:
-            bits.append(f" {sign} {body}")
-    return "".join(bits)
+    return _poly_str(poly, _coeff_latex, _mono_latex, "")
 
 
 def print_latex(e):

@@ -76,7 +76,7 @@ def orient(eq, lead):
     residual = eq.residual if isinstance(eq, hier.Equation) else RatExpr._coerce(eq)
     origin = eq.label if isinstance(eq, hier.Equation) else "<expr>"
     for jet in residual.den.jets():
-        if jet == lead:
+        if jet is lead:
             raise NonlinearLeadError(
                 f"{lead.text()} occurs in the denominator of {origin}")
     coeff_terms = {}
@@ -86,7 +86,7 @@ def orient(eq, lead):
         if k == 0:
             rest_terms[remainder] = rest_terms.get(remainder, 0) + c
         elif k == 1:
-            if any(j == lead for j in remainder.jets()):
+            if any(j is lead for j in remainder.jets()):
                 raise NonlinearLeadError(
                     f"{lead.text()} occurs nonlinearly in {origin}")
             coeff_terms[remainder] = coeff_terms.get(remainder, 0) + c
@@ -143,7 +143,7 @@ class RewriteSystem:
         cached = self._prolonged.get((rule.lead, jet))
         if cached is not None:
             return cached
-        if jet == rule.lead:
+        if jet is rule.lead:
             rhs = rule.rhs
         else:
             for var, have, want in zip(jet.field.deps, rule.lead.orders, jet.orders):

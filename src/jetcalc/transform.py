@@ -62,7 +62,7 @@ class DerivationMap:
         self.field_images = dict(field_images)
         self.op_images = {v: tuple(pairs) for v, pairs in op_images.items()}
         for jet in self.field_images:
-            if jet.field.space.name != source.name:
+            if jet.field.space is not source:
                 raise ValueError(f"image key {jet.text()} is not a {source.name} jet")
         for v, pairs in self.op_images.items():
             if v not in source.vars:
@@ -72,8 +72,7 @@ class DerivationMap:
                     raise ValueError(f"{tv!r} is not a variable of {target.name}")
         self._designated = {}
         for jet in self.field_images:
-            key = (jet.field.name, jet.field.index)
-            self._designated.setdefault(key, []).append(jet)
+            self._designated.setdefault(jet.field, []).append(jet)
         for jets in self._designated.values():
             # prefer bases carrying the later directions, so the derivation
             # route spends its excess on the earliest variables (e.g. the
@@ -99,7 +98,7 @@ class DerivationMap:
             return cached
         image = self.field_images.get(jet)
         if image is None:
-            bases = self._designated.get((jet.field.name, jet.field.index))
+            bases = self._designated.get(jet.field)
             if not bases:
                 raise BelowDesignatedJetError(
                     f"map {self.name} has no image for field {jet.field.label()}")
@@ -121,7 +120,7 @@ class DerivationMap:
         """Push e (over the source space) to the target space homomorphically."""
         e = RatExpr._coerce(e)
         space = e.space()
-        if space is not None and space.name != self.source.name:
+        if space is not None and space is not self.source:
             raise TransportError(
                 f"map {self.name} transports {self.source.name} expressions, "
                 f"got {space.name}")

@@ -164,3 +164,37 @@ def reference_numeric_proportionality(a, b, cofactor, trials=100, seed=0, tol=ZE
         if accepted == trials:
             return True
     raise AssertionError("reference sampler ran out of points")
+
+
+# -- reference monomial order ------------------------------------------------
+# The comparison function the library sorted monomials with before each
+# Monomial carried a native key, kept verbatim (apart from reading the jet's
+# former canonical key through reference_jet_key) so that tests can demand
+# the same order from the key.
+
+def reference_jet_key(jet):
+    field = jet.field
+    return (field.prio, field.index if field.index is not None else 0, jet.orders)
+
+
+def reference_mono_cmp(a, b):
+    """Lexicographic monomial order: the jet with the smallest canonical key is
+    the most significant position.  Total order compatible with multiplication,
+    so leading-term exact division is sound."""
+    fa, fb = a.factors, b.factors
+    i = j = 0
+    while i < len(fa) and j < len(fb):
+        ka, kb = reference_jet_key(fa[i][0]), reference_jet_key(fb[j][0])
+        if ka < kb:
+            return 1    # a has a positive exponent where b has zero
+        if kb < ka:
+            return -1
+        if fa[i][1] != fb[j][1]:
+            return 1 if fa[i][1] > fb[j][1] else -1
+        i += 1
+        j += 1
+    if i < len(fa):
+        return 1
+    if j < len(fb):
+        return -1
+    return 0

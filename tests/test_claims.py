@@ -86,5 +86,13 @@ def test_step_cap_error_is_reported():
     assert any("StepCapError" in c.note for c in rep.checks if c.status == "error")
 
 
+def test_height_substitution_honours_the_step_cap():
+    rep = run_claim("C5", 3, step_cap=3)
+    assert rep.status == "error"
+    (engine,) = [c for c in rep.checks if c.status == "error"]
+    assert engine.note.startswith("StepCapError: height substitution exceeded 3 steps")
+    assert "last rewrites: x_{" in engine.note
+
+
 def test_claim_ids_complete():
     assert CLAIM_IDS == ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9")

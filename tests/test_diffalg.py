@@ -2,16 +2,18 @@
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
+from _helpers import reference_mono_cmp
 from jetcalc import diffalg
 from jetcalc.diffalg import (
-    Cofactor, DiffPoly, Monomial, RatExpr, SpaceMismatchError, TermCapError,
+    Cofactor, DiffPoly, JetVar, Monomial, RatExpr, SpaceMismatchError, TermCapError,
     UnknownVariableError, ZeroDivisionExprError, combine, equivalent, is_zero,
     proportional, random_expr, substitute_jet, total_derivative,
 )
-from jetcalc.exprio import parse, print_text
+from jetcalc.exprio import from_json, parse, print_text, to_json
 from jetcalc.hierarchies import ch_space, mr_space, q_space, r_space
 
 
@@ -223,3 +225,60 @@ def test_substitute_jet_exact():
 def test_canonical_text_is_stable():
     e = chx("P*Omega[1] - 2*P_{X} + 1/2")
     assert print_text(e) == print_text(parse(print_text(e), CH))
+
+
+def test_jets_are_canonical_across_construction_routes():
+    jet = CH.jet("Omega", 1, X=2, T=1)
+    field = CH.field("Omega", 1)
+    assert JetVar(field, (2, 1)) is jet
+    assert CH.jet("Omega", 1, X=1, T=1).derived("X") is jet
+    assert jet.derived("T").lowered("T") is jet
+    (parsed,) = parse("Omega[1]_{X,X,T}", CH).jets()
+    assert parsed is jet
+    (loaded,) = from_json(to_json(RatExpr.from_jet(jet)), CH).jets()
+    assert loaded is jet
+    rng = random.Random(5)
+    for space in SPACES:
+        for _ in range(50):
+            j = diffalg.random_jet(space, rng)
+            assert j.field is space.field(j.field.name, j.field.index)
+            assert JetVar(j.field, j.orders) is j
+            assert space.jet(j.field.name, j.field.index, **j.multi_index()) is j
+
+
+def _random_monomials(space, rng, count):
+    monos = []
+    for _ in range(count):
+        pairs = [(diffalg.random_jet(space, rng), rng.randrange(1, 4))
+                 for _ in range(rng.randrange(0, 4))]
+        mono = Monomial.from_pairs(pairs)
+        monos.append(mono)
+        if mono.factors:
+            # a proper prefix, and the same jets with one exponent raised
+            monos.append(Monomial(mono.factors[:-1]))
+            jet, exp = mono.factors[rng.randrange(len(mono.factors))]
+            monos.append(mono.mul(Monomial.of(jet, exp)))
+    return monos
+
+
+def test_native_monomial_order_matches_reference_comparison():
+    rng = random.Random(4242)
+    for space in SPACES:
+        monos = _random_monomials(space, rng, 150)
+        rng.shuffle(monos)
+        want = sorted(monos, key=cmp_to_key(reference_mono_cmp))
+        assert sorted(monos, key=lambda m: m.key) == want
+        for a, b in zip(monos, reversed(monos)):
+            assert (a.key > b.key) - (a.key < b.key) == reference_mono_cmp(a, b)
+
+
+def test_equal_polynomials_hash_equal_in_any_insertion_order():
+    rng = random.Random(99)
+    for space in SPACES:
+        terms = [(m, Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2])))
+                 for m in dict.fromkeys(_random_monomials(space, rng, 20))]
+        shuffled = list(terms)
+        rng.shuffle(shuffled)
+        a, b = DiffPoly(dict(terms)), DiffPoly(dict(reversed(shuffled)))
+        assert a == b
+        assert hash(a) == hash(b)
