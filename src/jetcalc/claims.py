@@ -78,7 +78,8 @@ class VerificationReport:
 
 
 class _Runner:
-    """Collects check results and the shared numeric bookkeeping for one cell."""
+    """Collects check results and the shared numeric bookkeeping for one cell:
+    its checks sample through one SampleWalks, which ends with the cell."""
 
     def __init__(self, claim, n, seed, step_cap, zero_tol):
         self.claim = claim
@@ -89,6 +90,7 @@ class _Runner:
         self.checks = []
         self.cofactor = None
         self.terms = 0
+        self.walks = numoracle.SampleWalks()
 
     def add(self, label, ok, note=""):
         self.checks.append(CheckResult(label, "pass" if ok else "fail", note))
@@ -104,7 +106,7 @@ class _Runner:
         detail = note
         if ok:
             worst = numoracle.confirm_zero(expr, space, self.seed, points=100,
-                                           system=system)
+                                           system=system, walks=self.walks)
             if worst > self.zero_tol:
                 self.checks.append(CheckResult(
                     label, "fail",
@@ -119,7 +121,8 @@ class _Runner:
             self.checks.append(CheckResult(label, "fail", "not proportional"))
             return None
         ok = numoracle.numeric_proportionality(lhs, rhs, cof, trials=100,
-                                               seed=self.seed, tol=self.zero_tol)
+                                               seed=self.seed, tol=self.zero_tol,
+                                               walks=self.walks)
         note = f"cofactor {cof.text()}"
         if not ok:
             note += "; numeric spot check failed"

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
 from . import claims, diffalg, exprio, hierarchies as hier, numoracle, reduction
@@ -144,11 +143,7 @@ def cmd_eval(args):
     except exprio.ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    tf = numoracle.TestFunction(space, args.seed)
-    jets = list(expr.jets())
-    coords, value = next(numoracle._samples(
-        tf, random.Random(args.seed * 65537 + 1), 1000,
-        lambda c: (c, numoracle.eval_expr(expr, tf.point(jets, c)))))
+    coords, value = numoracle.sample_value(expr, space, args.seed)
     coord_text = ", ".join(f"{v}={coords[v]:.6f}" for v in space.vars)
     print(f"{value!r}  at  {coord_text}")
     return EXIT_PASS

@@ -18,10 +18,22 @@ the jets of a field.  A led jet's slot holds its rule's prolonged right side
 as float programs, one (coefficient, factors) per term, where a factor is a
 power x**e of an earlier slot's value.  The checked expressions become
 programs the same way.  So `RewriteSystem.match`, `prolonged_rhs` and every
-Fraction-to-float conversion run once per check.  At a point, the plan
-evaluates each test-function factor once, fills the slots in order, and
-appends every power that a program uses to a flat table of floats; the
-programs read their factors from that table.
+Fraction-to-float conversion run once per check.
+
+The checks of one claim cell share a walk per (test function, system,
+sampler stream): the points the stream draws, each with a dict of the jet
+values that the cell's checks have evaluated there.  A value is a function
+of the test function, the system, the point and the jet alone, so a plan
+run at a walk point reads the values it finds and records the ones it
+computes; a led jet whose denominator fell below the floor is recorded as a
+rejection, which rejects the point for every check that reads the jet, at
+the slot where the check's own evaluation would have rejected it.  A run
+evaluates the test-function factors only when some free jet is missing,
+fills the slots in order, and appends every power that a program uses to a
+flat table of floats; the programs read their factors from that table.
+`SampleWalks` holds a cell's walks over one TestFunction per (space, seed);
+the claim runner creates one per cell, and confirm_zero and
+numeric_proportionality build a private one when given none.
 
 The float operations are those of evaluating each expression directly, in
 the same order, so residuals and reports do not depend on the lowering or
@@ -269,50 +281,114 @@ class _Plan:
                                     for coeff, fs in tf._jet_terms(jet)], None))
         self.factors = list(factor)
 
-    def run(self, coords):
-        """The slot values at coords, and their table of powers."""
-        factors = [power * math.exp(rate * coords[var]) if phase is None
-                   else power * math.sin(rate * coords[var] + phase + shift)
-                   for var, rate, power, phase, shift in self.factors]
-        values = []
+    def run(self, coords, known):
+        """The table of powers of the slot values at coords.  known maps
+        jets already evaluated at coords to their values, or a led jet to
+        its _Rejection there; the run reads those and records the values it
+        computes."""
+        factors = None
         table = []
-        for (a, b), exps in zip(self.steps, self.powers):
-            if b is None:
-                x = reduce(add, _terms(a, factors), 0.0)
-            else:
-                n, _, d = _quotient(a, b, table)
-                x = n / d
-            values.append(x)
+        for jet, (a, b), exps in zip(self.slot, self.steps, self.powers):
+            x = known.get(jet)
+            if x is None:
+                if b is None:
+                    if factors is None:
+                        factors = [power * math.exp(rate * coords[var]) if phase is None
+                                   else power * math.sin(rate * coords[var] + phase + shift)
+                                   for var, rate, power, phase, shift in self.factors]
+                    x = reduce(add, _terms(a, factors), 0.0)
+                else:
+                    try:
+                        n, _, d = _quotient(a, b, table)
+                    except SmallDenominatorError as exc:
+                        known[jet] = _Rejection(str(exc))
+                        raise
+                    x = n / d
+                known[jet] = x
+            elif x.__class__ is _Rejection:
+                raise SmallDenominatorError(x.message)
             for exp in exps:
                 table.append(x ** exp)
-        return values, table
+        return table
 
     def point(self, coords, provenance):
-        values, _ = self.run(coords)
-        return JetPoint(dict(zip(self.slot, values)), provenance)
+        values = {}
+        self.run(coords, values)
+        return JetPoint(values, provenance)
 
     def table(self, values):
         """The table of powers of the slot values of a plan without led jets."""
         return [x ** exp for x, exps in zip(values, self.powers) for exp in exps]
 
 
+class _Rejection:
+    """Recorded at a walk point in place of a led jet whose denominator fell
+    below the floor there."""
+
+    __slots__ = ("message",)
+
+    def __init__(self, message):
+        self.message = message
+
+
 class _Sample:
-    """A plan at one sample's coordinates.  The plan runs on first use,
-    inside eval_expr or relative_residual, so a point rejected for a led
-    jet's denominator leaves through those public names like one rejected
-    for the checked expression's own."""
+    """A plan at one sample's coordinates and known jet values.  The plan
+    runs on first use, inside eval_expr or relative_residual, so a point
+    rejected for a led jet's denominator leaves through those public names
+    like one rejected for the checked expression's own."""
 
-    __slots__ = ("plan", "coords", "_table")
+    __slots__ = ("plan", "coords", "known", "_table")
 
-    def __init__(self, plan, coords):
+    def __init__(self, plan, coords, known):
         self.plan = plan
         self.coords = coords
+        self.known = known
         self._table = None
 
     def table(self):
         if self._table is None:
-            self._table = self.plan.run(self.coords)[1]
+            self._table = self.plan.run(self.coords, self.known)
         return self._table
+
+
+class _Walk:
+    """The points of one seeded sampler stream of a test function, drawn on
+    demand; each is (coords, {jet: value or _Rejection})."""
+
+    __slots__ = ("tf", "rng", "points")
+
+    def __init__(self, tf, stream):
+        self.tf = tf
+        self.rng = random.Random(stream)
+        self.points = []
+
+    def point(self, j):
+        if j == len(self.points):
+            self.points.append((self.tf.sample_coords(self.rng), {}))
+        return self.points[j]
+
+
+class SampleWalks:
+    """The sample walks of one claim cell: one per (space, test-function
+    seed, sampler stream, system), over one TestFunction per (space, seed).
+    Checks given the same SampleWalks share the jet values at the points of
+    their walk; drop it when the cell ends."""
+
+    __slots__ = ("functions", "walks")
+
+    def __init__(self):
+        self.functions = {}
+        self.walks = {}
+
+    def walk(self, space, seed, stream, system=None):
+        key = (space, seed, stream, system)
+        walk = self.walks.get(key)
+        if walk is None:
+            tf = self.functions.get((space, seed))
+            if tf is None:
+                tf = self.functions[space, seed] = TestFunction(space, seed)
+            walk = self.walks[key] = _Walk(tf, stream)
+        return walk
 
 
 def _evaluate(e, point):
@@ -343,14 +419,14 @@ def relative_residual(e, point):
     return abs(num) / max(_scale(terms), 1e-300)
 
 
-def _samples(tf, rng, attempts, evaluate):
-    """Yield evaluate(coords) at successive sample points of tf, skipping the
-    points where a denominator is too small; NumericError after `attempts`
-    draws."""
-    for _ in range(attempts):
-        coords = tf.sample_coords(rng)
+def _samples(walk, attempts, evaluate):
+    """Yield evaluate(coords, known) at the walk's successive points,
+    skipping the points where a denominator is too small; NumericError after
+    `attempts` points."""
+    for j in range(attempts):
+        coords, known = walk.point(j)
         try:
-            value = evaluate(coords)
+            value = evaluate(coords, known)
         except SmallDenominatorError:
             continue
         yield value
@@ -368,21 +444,23 @@ def consistent_point(system, jets, tf, coords):
         coords, f"consistent({tf.space.name}, seed={tf.seed})")
 
 
-def confirm_zero(e, space, seed, points=100, system=None):
+def confirm_zero(e, space, seed, points=100, system=None, walks=None):
     """Max relative residual of e over seeded sample points (on-shell when a
-    system is given); callers compare the result against ZERO_TOL."""
+    system is given); callers compare the result against ZERO_TOL.  Checks
+    given the same SampleWalks share their points' jet values."""
     e = RatExpr._coerce(e)
     if e.is_zero():
         return 0.0
-    tf = TestFunction(space, seed)
-    plan = _Plan(tf, (), system, (e,))
+    walk = (SampleWalks() if walks is None else walks).walk(
+        space, seed, seed * 7919 + 13, system)
+    plan = _Plan(walk.tf, (), system, (e,))
     lowered = plan.programs[0]
 
-    def residual(coords):
-        return relative_residual(lowered, _Sample(plan, coords))
+    def residual(coords, known):
+        return relative_residual(lowered, _Sample(plan, coords, known))
 
     worst = 0.0
-    samples = _samples(tf, random.Random(seed * 7919 + 13), 40 * points, residual)
+    samples = _samples(walk, 40 * points, residual)
     for rel in islice(samples, points):
         worst = max(worst, rel)
     return worst
@@ -393,41 +471,55 @@ def fd_check(e, var, tf, sample=0):
     extrapolated central differences (steps 1e-3 and 5e-4) along var."""
     e = RatExpr._coerce(e)
     de = e.total_derivative(var)
-    jets = set(e.jets()) | set(de.jets())
+    plan = _Plan(tf, (), exprs=(e, de))
+    le, lde = plan.programs
     h = 1e-3
 
-    def error(coords):
-        sym = eval_expr(de, tf.point(jets, coords))
+    def error(coords, known):
+        sym = eval_expr(lde, _Sample(plan, coords, known))
 
         def at(offset):
             shifted = dict(coords)
             shifted[var] = coords[var] + offset
-            return eval_expr(e, tf.point(jets, shifted))
+            return eval_expr(le, _Sample(plan, shifted, {}))
 
         d_h = (at(h) - at(-h)) / (2 * h)
         d_h2 = (at(h / 2) - at(-h / 2)) / h
         fd = (4 * d_h2 - d_h) / 3
         return abs(sym - fd) / max(1.0, abs(sym), abs(fd))
 
-    return next(_samples(tf, random.Random(tf.seed * 92821 + sample), 1000, error))
+    return next(_samples(_Walk(tf, tf.seed * 92821 + sample), 1000, error))
 
 
-def numeric_proportionality(a, b, cofactor, trials=100, seed=0, tol=ZERO_TOL):
-    """True iff a evaluates to cofactor*b within tol at all sampled points."""
+def sample_value(e, space, seed):
+    """(coords, value) of e at the first well-conditioned sample point of
+    seed's evaluation stream, as `jetcalc eval` reports it."""
+    e = RatExpr._coerce(e)
+    walk = _Walk(TestFunction(space, seed), seed * 65537 + 1)
+    plan = _Plan(walk.tf, (), exprs=(e,))
+    lowered = plan.programs[0]
+    return next(_samples(walk, 1000, lambda coords, known: (
+        coords, eval_expr(lowered, _Sample(plan, coords, known)))))
+
+
+def numeric_proportionality(a, b, cofactor, trials=100, seed=0, tol=ZERO_TOL,
+                            walks=None):
+    """True iff a evaluates to cofactor*b within tol at all sampled points.
+    Checks given the same SampleWalks share their points' jet values."""
     a = RatExpr._coerce(a)
     b = RatExpr._coerce(b)
     cof = cofactor.as_ratexpr()
     space = a.space() or b.space() or cof.space()
     if space is None:
         return equivalent(a, cof.mul(b))
-    tf = TestFunction(space, seed)
-    plan = _Plan(tf, (), exprs=(a, cof, b))
+    walk = (SampleWalks() if walks is None else walks).walk(space, seed, seed * 31337 + 7)
+    plan = _Plan(walk.tf, (), exprs=(a, cof, b))
     la, lcof, lb = plan.programs
 
-    def values(coords):
-        p = _Sample(plan, coords)
+    def values(coords, known):
+        p = _Sample(plan, coords, known)
         return eval_expr(la, p), eval_expr(lcof, p) * eval_expr(lb, p)
 
-    samples = _samples(tf, random.Random(seed * 31337 + 7), 40 * trials, values)
+    samples = _samples(walk, 40 * trials, values)
     return not any(abs(va - vb) > tol * max(1.0, abs(va), abs(vb))
                    for va, vb in islice(samples, trials))

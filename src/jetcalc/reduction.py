@@ -169,7 +169,6 @@ class RewriteSystem:
         rule applied to it are chosen at random instead.
         """
         e = RatExpr._coerce(e)
-        steps = 0
         trace = []
         while True:
             if rng is None:
@@ -185,13 +184,12 @@ class RewriteSystem:
                 if not candidates:
                     return e
                 jet, rule = candidates[rng.randrange(len(candidates))]
-            rhs = self.prolonged_rhs(rule, jet)
-            e = substitute_jet(e, jet, rhs)
-            steps += 1
-            trace.append(jet.text())
-            if steps > self.step_cap:
+            if len(trace) == self.step_cap:
                 raise StepCapError(
                     f"reduction exceeded {self.step_cap} steps", trace[-12:])
+            rhs = self.prolonged_rhs(rule, jet)
+            e = substitute_jet(e, jet, rhs)
+            trace.append(jet.text())
 
 
 def reduce(sys, e, rng=None):

@@ -8,15 +8,16 @@ import pytest
 
 from _helpers import (random_poly_from, reference_confirm_zero,
                       reference_consistent_point, reference_numeric_proportionality)
-from jetcalc import claims
+from jetcalc import claims, numoracle
 from jetcalc.diffalg import Cofactor, RatExpr, proportional
 from jetcalc.exprio import parse
 from jetcalc.hierarchies import ch_space, gen_cbs_family, gen_ch, q_space, r_space
-from jetcalc.numoracle import (FD_TOL, JetPoint, MissingJetError,
-                               NumericError, SmallDenominatorError, TestFunction,
-                               confirm_zero, consistent_point, eval_expr, fd_check,
-                               numeric_proportionality, relative_residual)
-from jetcalc.reduction import standard_systems
+from jetcalc.numoracle import (FD_TOL, ZERO_TOL, JetPoint, MissingJetError,
+                               NumericError, SampleWalks, SmallDenominatorError,
+                               TestFunction, confirm_zero, consistent_point, eval_expr,
+                               fd_check, numeric_proportionality, relative_residual)
+from jetcalc.reduction import (DEFAULT_STEP_CAP, JetRanking, RewriteRule, RewriteSystem,
+                               standard_systems)
 from jetcalc.transform import build_map, transport
 
 R2 = r_space(2)
@@ -229,3 +230,70 @@ def test_numeric_proportionality_is_bit_identical_to_the_reference():
         assert got == reference_numeric_proportionality(img, target, cof,
                                                         trials=100, seed=0)
         assert got is expected
+
+
+def _run_cell(monkeypatch, claim, n, check):
+    """Run a claim cell through the real runner and record each call of the
+    numoracle check it makes, with its arguments and result."""
+    runner = claims._Runner(claim, n, 0, DEFAULT_STEP_CAP, ZERO_TOL)
+    original = getattr(numoracle, check)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(numoracle, check, recorded)
+    getattr(claims, "_" + claim.lower())(runner, n)
+    assert calls
+    return runner, calls
+
+
+@pytest.mark.parametrize("claim", ["C3", "C5", "C7", "C9"])
+def test_zero_checks_of_a_cell_share_one_walk(monkeypatch, claim):
+    runner, calls = _run_cell(monkeypatch, claim, 4, "confirm_zero")
+    assert len(runner.walks.walks) == 1
+    for (expr, space, seed), kwargs, got in calls:
+        assert seed == runner.seed and kwargs["walks"] is runner.walks
+        assert got == reference_confirm_zero(expr, space, seed, points=100,
+                                             system=kwargs["system"])
+
+
+def test_proportionality_checks_of_a_cell_share_one_walk(monkeypatch):
+    runner, calls = _run_cell(monkeypatch, "C4", 4, "numeric_proportionality")
+    assert len(calls) == 6
+    # C4's zero check is a symbolic zero, which samples no point
+    assert len(runner.walks.walks) == 1
+    for (lhs, rhs, cof), kwargs, got in calls:
+        assert kwargs["seed"] == runner.seed and kwargs["walks"] is runner.walks
+        assert got is reference_numeric_proportionality(lhs, rhs, cof, trials=100,
+                                                        seed=runner.seed)
+
+
+def test_a_led_jets_rejection_rejects_only_the_checks_that_read_it():
+    # the rule X_{T0,T1} -> 1/(X_{T0} - c), with c the value of X_{T0} at the
+    # walk's first point, rejects that point for every check reading X_{T0,T1}
+    seed = 7
+    coords = TestFunction(R2, seed).sample_coords(random.Random(seed * 7919 + 13))
+    c = Fraction(TestFunction(R2, seed).jet_value(R2.jet("X", T0=1), coords))
+    lead = R2.jet("X", T0=1, T1=1)
+    system = RewriteSystem(
+        [RewriteRule(lead, RatExpr.const(1) / (R2.expr("X", T0=1) - c), "synthetic")],
+        JetRanking(R2))
+    reads = R2.expr("X", T0=1, T1=1) + R2.expr("X", T1=1)
+    skips = R2.expr("X", T0=1) + R2.expr("X", T1=1)
+    walks = SampleWalks()
+    results = [confirm_zero(e, R2, seed, points=1, system=system, walks=walks)
+               for e in (reads, skips, reads)]
+    (walk,) = walks.walks.values()
+    assert len(walk.points) == 2
+    assert not isinstance(walk.points[0][1][R2.jet("X", T1=1)], numoracle._Rejection)
+    assert isinstance(walk.points[0][1][lead], numoracle._Rejection)
+    # with points=1 each result is the residual at the first point it accepts
+    for e, got in zip((reads, skips, reads), results):
+        assert got == reference_confirm_zero(e, R2, seed, points=1, system=system)
+    assert results[0] != results[1]
+    assert results[1] == relative_residual(
+        skips, JetPoint({j: TestFunction(R2, seed).jet_value(j, coords)
+                         for j in skips.jets()}, "first point"))

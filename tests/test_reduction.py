@@ -5,14 +5,16 @@ import random
 import pytest
 
 from _helpers import random_poly_from
-from jetcalc.diffalg import is_zero, total_derivative
+from jetcalc import reduction
+from jetcalc.diffalg import is_zero, substitute_jet, total_derivative
 from jetcalc.exprio import parse
 from jetcalc.hierarchies import (ch_space, gen_cbs_family, gen_ch,
-                                 gen_miura_relations, r_space)
+                                 gen_miura_relations, gen_qiao, r_space)
 from jetcalc.numoracle import TestFunction, consistent_point, eval_expr
 from jetcalc.reduction import (JetRanking, LeadAbsentError, NonlinearLeadError,
                                RankingViolationError, RewriteSystem,
                                StepCapError, orient, reduce, standard_systems)
+from jetcalc.transform import build_map
 
 CH2 = ch_space(2)
 
@@ -123,6 +125,26 @@ def test_step_cap_reported_as_nontermination():
     e = parse("P_{X,X,T} + P_{X,T}*Omega[1]_{X,X,X}", CH2)
     with pytest.raises(StepCapError):
         reduce(tiny, e)
+
+
+@pytest.mark.parametrize("cap,raises", [(1, True), (2, False)])
+def test_step_cap_bounds_the_substitutions(monkeypatch, cap, raises):
+    # the C_MR image of E_Q1 reduces to zero modulo CH in exactly 2 rewrites
+    img = build_map("C_MR", 2).transport(gen_qiao(2)[1].residual)
+    calls = []
+
+    def counted(e, jet, rhs):
+        calls.append(jet)
+        return substitute_jet(e, jet, rhs)
+
+    monkeypatch.setattr(reduction, "substitute_jet", counted)
+    system = standard_systems("CH", 2, step_cap=cap)
+    if raises:
+        with pytest.raises(StepCapError):
+            system.reduce(img)
+    else:
+        assert system.reduce(img).is_zero()
+    assert len(calls) == min(cap, 2)
 
 
 def test_shuffle_mode_agrees_with_deterministic_order():
