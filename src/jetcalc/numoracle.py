@@ -39,9 +39,9 @@ The float operations are those of evaluating each expression directly, in
 the same order, so residuals and reports do not depend on the lowering or
 on the interpreter: a term is its coefficient times its factors, multiplied
 left to right; a free jet adds its terms left to right from 0.0; a led jet
-or checked expression takes the math.fsum of its terms, and its scale adds
-the terms' magnitudes left to right (not with the builtin sum(), which
-compensates float sums from Python 3.12 on); a sine's argument is
+or checked expression takes the math.fsum of its terms, and so does its
+scale over the terms' magnitudes, so that no float depends on the order in
+which a polynomial stores its terms; a sine's argument is
 (b*w + phi) + shift.  A led jet or an expression whose denominator is below
 DEN_FLOOR relative to its term magnitudes rejects the point.
 """
@@ -202,8 +202,8 @@ def _terms(program, table):
 
 
 def _scale(terms):
-    """Summed term magnitude, added left to right."""
-    return reduce(add, map(abs, terms), 0.0)
+    """Summed term magnitude, exactly rounded whatever the term order."""
+    return fsum(map(abs, terms))
 
 
 def _quotient(num, den, table):

@@ -82,14 +82,12 @@ def reference_jet_value(tf, jet, coords):
 
 def _reference_eval_poly(poly, getter):
     total = []
-    scale = 0.0
     for mono, coeff in poly.terms.items():
         v = float(coeff)
         for jet, exp in mono.factors:
             v *= getter(jet) ** exp
         total.append(v)
-        scale += abs(v)
-    return math.fsum(total), scale
+    return math.fsum(total), math.fsum(map(abs, total))
 
 
 def reference_evaluate(e, getter):

@@ -9,7 +9,7 @@ import pytest
 from _helpers import (random_poly_from, reference_confirm_zero,
                       reference_consistent_point, reference_numeric_proportionality)
 from jetcalc import claims, numoracle
-from jetcalc.diffalg import Cofactor, RatExpr, proportional
+from jetcalc.diffalg import Cofactor, DiffPoly, RatExpr, proportional
 from jetcalc.exprio import parse
 from jetcalc.hierarchies import ch_space, gen_cbs_family, gen_ch, q_space, r_space
 from jetcalc.numoracle import (FD_TOL, ZERO_TOL, JetPoint, MissingJetError,
@@ -200,6 +200,22 @@ def test_confirm_zero_is_bit_identical_to_the_reference(claim, n, on_shell):
         system = system if on_shell else None
         got = confirm_zero(expr, space, seed, points=100, system=system)
         assert got == reference_confirm_zero(expr, space, seed, points=100, system=system)
+
+
+@pytest.mark.parametrize("claim,n,on_shell", [("C5", 2, False), ("C3", 3, True)])
+def test_residuals_do_not_depend_on_the_order_of_a_polynomials_terms(claim, n, on_shell):
+    # the same expressions with their numerators' terms stored reversed and
+    # shuffled give the same floats
+    rng = random.Random(11)
+    for k, (expr, space, system) in enumerate(_zero_checks(claim, n)):
+        seed = 1000 * n + k
+        system = system if on_shell else None
+        want = confirm_zero(expr, space, seed, points=20, system=system)
+        items = list(expr.num.terms.items())
+        for order in (items[::-1], rng.sample(items, len(items))):
+            permuted = RatExpr(DiffPoly(dict(order)), expr.den)
+            assert permuted == expr
+            assert confirm_zero(permuted, space, seed, points=20, system=system) == want
 
 
 def test_consistent_point_is_bit_identical_to_the_reference():
