@@ -115,7 +115,7 @@ class _Runner:
             detail = (detail + "; " if detail else "") + f"numeric<={worst:.1e}"
         self.checks.append(CheckResult(label, "pass" if ok else "fail", detail))
 
-    def proportional_check(self, label, lhs, rhs, space):
+    def proportional_check(self, label, lhs, rhs):
         cof = proportional(lhs, rhs)
         if cof is None:
             self.checks.append(CheckResult(label, "fail", "not proportional"))
@@ -130,14 +130,14 @@ class _Runner:
         self.terms += len(lhs.num.terms)
         return cof
 
-    def uniform_cofactor(self, checks, space):
+    def uniform_cofactor(self, checks):
         """proportional_check over the middle equations' (label, lhs, rhs);
         one cofactor must serve every i, and it becomes the cell's cofactor."""
         if self.n == 1:
             self.vacuous("no middle equations at n=1")
         cofs = []
         for label, lhs, rhs in checks:
-            cof = self.proportional_check(label, lhs, rhs, space)
+            cof = self.proportional_check(label, lhs, rhs)
             if cof is not None:
                 cofs.append(cof)
         if cofs:
@@ -170,9 +170,8 @@ def _c2(r, n):
     m = transform.build_map("R_CH", n)
     eqs = hier.gen_ch(n)
     fam = hier.gen_cbs_family(n)
-    r.uniform_cofactor(((f"E_CH{i} ~ bcbs_{i}", m.transport(eqs[i].residual),
-                         fam.bcbs[i - 1].residual) for i in range(1, n)),
-                       hier.r_space(n))
+    r.uniform_cofactor((f"E_CH{i} ~ bcbs_{i}", m.transport(eqs[i].residual),
+                        fam.bcbs[i - 1].residual) for i in range(1, n))
     closing = m.transport(eqs[n].residual)
     r.checks.append(CheckResult(
         "E_CHn image (reported, not judged)", "pass",
@@ -222,8 +221,8 @@ def _c4(r, n):
     rsp = hier.r_space(n)
     img0 = m.transport(qeqs["E_Q0"].residual)
     r.zero_check("transport(R_Q, E_Q0)", img0, rsp)
-    r.uniform_cofactor(((f"E_Q{i} ~ bmcbs_{i}", m.transport(qeqs[f"E_Q{i}"].residual),
-                         fam.bmcbs[i - 1].residual) for i in range(1, n)), rsp)
+    r.uniform_cofactor((f"E_Q{i} ~ bmcbs_{i}", m.transport(qeqs[f"E_Q{i}"].residual),
+                        fam.bmcbs[i - 1].residual) for i in range(1, n))
     closing = m.transport(qeqs[f"E_Q{n}n"].residual.total_derivative("x"))
     r.checks.append(CheckResult(
         "D_x(E_Qn) image (reported, not judged)", "pass",
@@ -232,7 +231,7 @@ def _c4(r, n):
         cross = (total_derivative(hier.m0_q_image(n), f"T{i}")
                  - total_derivative(hier.mi_q_image(n, i), "T0"))
         r.proportional_check(f"m-system cross-derivative ~ bmcbs_{i}",
-                             cross, fam.bmcbs[i - 1].residual, rsp)
+                             cross, fam.bmcbs[i - 1].residual)
 
 
 def _miura_substituted_bmcbs(n, i, step_cap=reduction.DEFAULT_STEP_CAP):
@@ -286,7 +285,7 @@ def _c6(r, n):
     img = m.transport(rels["HEIGHTS_R"].residual)
     cleared = RatExpr.make(img.num)
     cof = r.proportional_check("heights residual ~ P^2 - u(P - P_X)",
-                               cleared, rels["HEIGHTS"].residual, hier.mr_space(n))
+                               cleared, rels["HEIGHTS"].residual)
     if cof is not None:
         r.cofactor = cof.text()
 

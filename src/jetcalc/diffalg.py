@@ -5,16 +5,26 @@ precision rational coefficients.  Everything is immutable after construction
 and every constructor returns a normalized value, so values can be shared
 freely between tasks.  Zero testing (is_zero) is exact: normalization cancels
 integer content and common monomial factors, which is enough to decide whether
-the numerator is the zero polynomial.  There is deliberately no multivariate
-polynomial GCD; addition and multiplication instead look for exact-division
-common denominators to keep denominator towers like (P - P_X)^k flat.
+the numerator is the zero polynomial.  A normalized value's coefficients are
+coprime ints, and constants, scaling and exact division keep integral
+coefficients as ints, so the hot loops stay off Fraction arithmetic.  There is deliberately
+no multivariate polynomial GCD; addition and multiplication instead look for
+exact-division common denominators to keep denominator towers like
+(P - P_X)^k flat.  Exact division keeps its pending terms in a heap (after
+Monagan & Pearce, Sparse polynomial division using a heap), and the
+derivative of a quotient over a one-term denominator c*m is taken over
+c*m*r, with r the product of m's jets, instead of over the squared
+denominator.  Both give the same normalized values, with the terms in
+the same order, as the plain max-rescanning division and quotient rule.
 
 Spaces, fields and jets are canonical: a space's fields are created once,
 and each field hands out one JetVar per multi-index, so equality of jets and
 fields is identity.  Jets never cross a process boundary (reports are plain
 data), so identity is all the equality they need.  The monomial order is
 native: every Monomial carries a key whose plain tuple comparison is the
-order, so sorting and leading terms need no comparison function.
+order, so sorting and leading terms need no comparison function.  A derived
+monomial is spliced: the derivative of a jet sorts after the jet, so one
+forward scan finds its place among the factors.
 """
 
 from __future__ import annotations
@@ -22,7 +32,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from operator import attrgetter
 
 
@@ -290,12 +301,6 @@ class Monomial:
         out.sort(key=lambda p: p[0].rkey, reverse=True)
         return Monomial(tuple(out))
 
-    def exp_of(self, jet):
-        for j, e in self.factors:
-            if j is jet:
-                return e
-        return 0
-
     def mul(self, other):
         if not self.factors:
             return other
@@ -332,16 +337,21 @@ class Monomial:
 
     def div(self, other):
         """Quotient self / other (other must divide self)."""
-        rem = {j: e for j, e in self.factors}
-        for j, e in other.factors:
-            have = rem.get(j, 0)
-            if have < e:
+        out = []
+        a = self.factors
+        i = 0
+        for jet, e in other.factors:
+            rkey = jet.rkey
+            while i < len(a) and a[i][0].rkey > rkey:
+                out.append(a[i])
+                i += 1
+            if i == len(a) or a[i][0] is not jet or a[i][1] < e:
                 raise ValueError("monomial division is not exact")
-            if have == e:
-                del rem[j]
-            else:
-                rem[j] = have - e
-        return Monomial.from_pairs(rem.items())
+            if a[i][1] > e:
+                out.append((jet, a[i][1] - e))
+            i += 1
+        out.extend(a[i:])
+        return Monomial(tuple(out))
 
     def without(self, jet):
         """Split into (exponent of jet, remaining monomial)."""
@@ -372,6 +382,35 @@ class Monomial:
 
 _MONO_UNIT = Monomial(())
 _mono_key = attrgetter("key")
+
+
+def _splice(factors, idx, dj):
+    """factors with the exponent at idx lowered by one and dj multiplied in.
+
+    dj is a derivative of the jet at idx, so it sorts after that jet and one
+    forward scan finds its canonical position."""
+    jet, exp = factors[idx]
+    head = factors[:idx] + ((jet, exp - 1),) if exp > 1 else factors[:idx]
+    rkey = dj.rkey
+    k = idx + 1
+    while k < len(factors) and factors[k][0].rkey > rkey:
+        k += 1
+    if k < len(factors) and factors[k][0] is dj:
+        return head + factors[idx + 1:k] + ((dj, factors[k][1] + 1),) + factors[k + 1:]
+    return head + factors[idx + 1:k] + ((dj, 1),) + factors[k:]
+
+
+class _Pending:
+    """A monomial waiting in divexact's heap, which pops the largest first."""
+
+    __slots__ = ("key", "mono")
+
+    def __init__(self, mono):
+        self.key = mono.key
+        self.mono = mono
+
+    def __lt__(self, other):
+        return self.key > other.key
 
 
 # ---------------------------------------------------------------------------
@@ -412,14 +451,14 @@ class DiffPoly:
 
     @staticmethod
     def const(c):
-        c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return _POLY_ZERO
         return DiffPoly({_MONO_UNIT: c})
 
     @staticmethod
     def from_jet(jet, exp=1, coeff=1):
-        c = Fraction(coeff)
+        c = _exact(coeff)
         if c == 0:
             return _POLY_ZERO
         return DiffPoly({Monomial.of(jet, exp): c})
@@ -483,7 +522,7 @@ class DiffPoly:
         return self.add(other.neg())
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return _POLY_ZERO
         if c == 1:
@@ -519,16 +558,12 @@ class DiffPoly:
     def total_derivative(self, var):
         out = {}
         for mono, coeff in self.terms.items():
-            for idx, (jet, exp) in enumerate(mono.factors):
+            factors = mono.factors
+            for idx, (jet, exp) in enumerate(factors):
                 dj = jet.derived(var)
                 if dj is None:
                     continue
-                pairs = list(mono.factors)
-                if exp == 1:
-                    del pairs[idx]
-                else:
-                    pairs[idx] = (jet, exp - 1)
-                m = Monomial.from_pairs(pairs + [(dj, 1)])
+                m = Monomial(_splice(factors, idx, dj))
                 c = coeff * exp
                 s = out.get(m)
                 if s is None:
@@ -542,7 +577,12 @@ class DiffPoly:
         return DiffPoly(out, self._space)
 
     def divexact(self, other, step_limit=None):
-        """Exact quotient self/other, or None if other does not divide self."""
+        """Exact quotient self/other, or None if other does not divide self.
+
+        The pending terms wait in a heap that pops the largest monomial
+        first; a cancelled term leaves its entry behind, to be skipped when
+        it surfaces.  Each step cancels the largest pending term, so the
+        quotient's monomials come out distinct and in descending order."""
         if other.is_zero():
             raise ZeroDivisionExprError("polynomial division by zero")
         if other.is_const():
@@ -551,29 +591,40 @@ class DiffPoly:
             return _POLY_ZERO
         self._check_space(other)
         glm, glc = other.leading()
-        glc = Fraction(glc)
-        work = dict(self.terms)
-        quot = {}
         if step_limit is None:
             step_limit = 8 * (len(self.terms) + len(other.terms)) + 64
+        # most calls fail on the first leading term: test it before the heap
+        if step_limit < 1 or not glm.divides(self.leading()[0]):
+            return None
+        work = dict(self.terms)
+        pending = [_Pending(m) for m in work]
+        heapify(pending)
+        quot = {}
         for _ in range(step_limit):
             if not work:
                 return DiffPoly(quot, self._space)
-            lm = max(work, key=_mono_key)
+            lm = heappop(pending).mono
+            while lm not in work:
+                lm = heappop(pending).mono
             if not glm.divides(lm):
                 return None
             qm = lm.div(glm)
-            qc = work[lm] / glc
-            quot[qm] = quot.get(qm, Fraction(0)) + qc
-            if quot[qm] == 0:
-                del quot[qm]
+            qc, rem = divmod(work[lm], glc)
+            if rem:
+                qc = Fraction(work[lm], glc)
+            quot[qm] = qc
             for m, c in other.terms.items():
                 mm = m.mul(qm)
-                s = work.get(mm, Fraction(0)) - c * qc
-                if s:
-                    work[mm] = s
+                s = work.get(mm)
+                if s is None:
+                    work[mm] = -c * qc
+                    heappush(pending, _Pending(mm))
                 else:
-                    work.pop(mm, None)
+                    s = s - c * qc
+                    if s:
+                        work[mm] = s
+                    else:
+                        del work[mm]
         return None
 
     def __eq__(self, other):
@@ -594,7 +645,15 @@ class DiffPoly:
 
 
 _POLY_ZERO = DiffPoly({})
-_POLY_ONE = DiffPoly({_MONO_UNIT: Fraction(1)})
+_POLY_ONE = DiffPoly({_MONO_UNIT: 1})
+
+
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _monomial_gcd(polys):
@@ -604,50 +663,37 @@ def _monomial_gcd(polys):
         for mono in p.terms:
             if common is None:
                 common = dict(mono.factors)
-                continue
-            nxt = {}
-            for j, e in mono.factors:
-                have = common.get(j)
-                if have:
-                    nxt[j] = min(have, e)
-            common = nxt
+            else:
+                common = {j: min(e, common[j]) for j, e in mono.factors if j in common}
             if not common:
                 return _MONO_UNIT
-    if not common:
-        return _MONO_UNIT
-    return Monomial.from_pairs(common.items())
+    return Monomial(tuple(common.items())) if common else _MONO_UNIT
 
 
-def _divide_monomial(poly, mono):
+def _primitive(polys, mono, negate):
+    """Divide the polynomials by the monomial mono and by their joint content.
+
+    Returns (k, scale, polys): the content is k/scale, negative if negate is
+    set, and the new polynomials have coprime int coefficients."""
+    coeffs = [c for p in polys for c in p.terms.values()]
+    try:
+        k, scale = gcd(*coeffs), 1
+    except TypeError:
+        # some coefficients are Fractions: clear their denominators first
+        scale = lcm(*[c.denominator for c in coeffs])
+        coeffs = [c.numerator * (scale // c.denominator) for c in coeffs]
+        k = gcd(*coeffs)
+    else:
+        if k == 1 and not negate and not mono.factors:
+            return k, scale, polys
+    if negate:
+        k = -k
+    coeffs = iter(coeffs)
     if not mono.factors:
-        return poly
-    return DiffPoly({m.div(mono): c for m, c in poly.terms.items()})
-
-
-def _content(polys):
-    """Positive rational content of the joint coefficient list."""
-    num_gcd = 0
-    den_lcm = 1
-    for p in polys:
-        for c in p.terms.values():
-            num_gcd = gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    if num_gcd == 0:
-        return Fraction(1)
-    return Fraction(num_gcd, den_lcm)
-
-
-def _intify(poly):
-    """Store denominator-one coefficients as plain ints (exact, much faster)."""
-    out = {}
-    changed = False
-    for m, c in poly.terms.items():
-        if not isinstance(c, int) and c.denominator == 1:
-            out[m] = c.numerator
-            changed = True
-        else:
-            out[m] = c
-    return DiffPoly(out) if changed else poly
+        return k, scale, [DiffPoly({m: next(coeffs) // k for m in p.terms}, p._space)
+                          for p in polys]
+    return k, scale, [DiffPoly({m.div(mono): next(coeffs) // k for m in p.terms})
+                      for p in polys]
 
 
 # ---------------------------------------------------------------------------
@@ -677,27 +723,10 @@ class RatExpr:
         num._check_space(den)
         if num.is_zero():
             return RatExpr(_POLY_ZERO, _POLY_ONE)
-        g = _monomial_gcd([num])
-        h = _monomial_gcd([den])
-        common = {}
-        for j, e in g.factors:
-            k = h.exp_of(j)
-            if k:
-                common[j] = min(e, k)
-        if common:
-            m = Monomial.from_pairs(common.items())
-            num = _divide_monomial(num, m)
-            den = _divide_monomial(den, m)
-        content = _content([num, den])
-        _, dlc = den.leading()
-        sign = 1 if dlc > 0 else -1
-        scale = Fraction(sign) / content
-        if scale != 1:
-            num = num.scale(scale)
-            den = den.scale(scale)
-        # content-normalized coefficients are coprime integers; storing them
-        # as plain ints keeps the hot polynomial loops off Fraction overhead
-        return RatExpr(_intify(num), _intify(den))
+        # the denominator goes first: a constant one ends the search at once
+        common = _monomial_gcd((den, num))
+        _, _, (num, den) = _primitive((num, den), common, den.leading()[1] < 0)
+        return RatExpr(num, den)
 
     @staticmethod
     def const(c):
@@ -824,15 +853,32 @@ class RatExpr:
         if space is not None and var not in space._var_pos:
             raise UnknownVariableError(
                 f"variable {var!r} does not belong to space {space.name!r}")
-        dn = self.num.total_derivative(var)
-        if self.den.is_const():
-            return RatExpr.make(dn, self.den)
-        dd = self.den.total_derivative(var)
+        num, den = self.num, self.den
+        dn = num.total_derivative(var)
+        if den.is_const():
+            return RatExpr.make(dn, den)
+        if len(den.terms) == 1:
+            # den = c*m: with r the product of m's jets, (m'/m)*r is a
+            # polynomial and (N/(c*m))' = (N'*r - N*(m'/m)*r) / (c*m*r).
+            # The terms go in as N'*den - N*den' would insert them, and
+            # normalising gives the same expression without den*den.
+            ((m, c),) = den.terms.items()
+            r = tuple([(jet, 1) for jet, _ in m.factors])
+            q = {}
+            for idx, (jet, exp) in enumerate(m.factors):
+                dj = jet.derived(var)
+                if dj is not None:
+                    q[Monomial(_splice(r, idx, dj))] = exp
+            if not q:
+                return RatExpr.make(dn, den)
+            r = Monomial(r)
+            return RatExpr.make(
+                dn.mul(DiffPoly({r: 1}, den._space)).sub(num.mul(DiffPoly(q, den._space))),
+                DiffPoly({m.mul(r): c}, den._space))
+        dd = den.total_derivative(var)
         if dd.is_zero():
-            return RatExpr.make(dn, self.den)
-        return RatExpr.make(
-            dn.mul(self.den).sub(self.num.mul(dd)),
-            self.den.mul(self.den))
+            return RatExpr.make(dn, den)
+        return RatExpr.make(dn.mul(den).sub(num.mul(dd)), den.mul(den))
 
     __add__ = add
     __radd__ = add
@@ -921,9 +967,6 @@ class Cofactor:
             out = out.mul(RatExpr.from_jet(jet).pow(e))
         return out
 
-    def is_one(self):
-        return self.coeff == 1 and not self.powers
-
     def text(self):
         bits = []
         if self.coeff != 1 or not self.powers:
@@ -945,14 +988,9 @@ class Cofactor:
 
 def _strip(poly):
     """Split poly into (signed content, monomial gcd, primitive core)."""
-    m = _monomial_gcd([poly])
-    core = _divide_monomial(poly, m)
-    content = _content([core])
-    _, lc = core.leading()
-    if lc < 0:
-        content = -content
-    core = core.scale(1 / content)
-    return content, m, core
+    m = _monomial_gcd((poly,))
+    k, scale, (core,) = _primitive((poly,), m, poly.leading()[1] < 0)
+    return Fraction(k, scale), m, core
 
 
 def proportional(a, b):

@@ -99,10 +99,6 @@ class _Parser:
                              SourceSpan(tok[2], tok[3]))
         return tok
 
-    def span_here(self):
-        tok = self.peek()
-        return SourceSpan(tok[2], tok[3])
-
     def parse(self):
         e = self.expr()
         tok = self.peek()

@@ -6,7 +6,9 @@ from functools import cmp_to_key
 
 import pytest
 
-from _helpers import reference_mono_cmp
+from _helpers import (reference_divexact, reference_make, reference_mono_cmp,
+                      reference_mono_div, reference_ratexpr_derivative,
+                      reference_total_derivative)
 from jetcalc import diffalg
 from jetcalc.diffalg import (
     Cofactor, DiffPoly, JetVar, Monomial, RatExpr, SpaceMismatchError, TermCapError,
@@ -282,3 +284,126 @@ def test_equal_polynomials_hash_equal_in_any_insertion_order():
         a, b = DiffPoly(dict(terms)), DiffPoly(dict(reversed(shuffled)))
         assert a == b
         assert hash(a) == hash(b)
+
+
+# -- the fast exact core against the reference code it replaced ---------------
+
+def _same_poly(got, want):
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+
+
+def _same_expr(got, want):
+    _same_poly(got.num, want.num)
+    _same_poly(got.den, want.den)
+
+
+def _monomial_denominators(space, rng, count):
+    """Expressions over one-term denominators: a random numerator divided by
+    a negative multiple of a product of several jets."""
+    for _ in range(count):
+        pairs = [(diffalg.random_jet(space, rng, 1), rng.randrange(1, 4))
+                 for _ in range(rng.randrange(2, 4))]
+        den = DiffPoly({Monomial.from_pairs(pairs): Fraction(-rng.choice([1, 2, 3]),
+                                                             rng.choice([1, 2]))})
+        yield random_expr(space, rng, max_terms=4) / RatExpr.make(den)
+
+
+def test_derivatives_match_the_reference_term_for_term():
+    rng = random.Random(606)
+    for space in SPACES:
+        exprs = [random_expr(space, rng, rational=True) for _ in range(60)]
+        exprs += list(_monomial_denominators(space, rng, 60))
+        for e in exprs:
+            for var in space.vars:
+                for poly in (e.num, e.den):
+                    _same_poly(poly.total_derivative(var),
+                               reference_total_derivative(poly, var))
+                _same_expr(e.total_derivative(var), reference_ratexpr_derivative(e, var))
+
+
+def test_monomial_denominator_with_negative_coefficient():
+    # the quotient rule over c*m with several jets, against the general rule
+    den = rx("-2*X_{T0}^2*X_{T1}")
+    assert len(den.den.terms) == 1
+    e = rx("3*X_{T0,T1}*X_{T0} - X_{T1}^2 + 5") / den
+    assert len(e.den.terms) == 1 and len(list(e.den.jets())) == 2
+    for var in R.vars:
+        _same_expr(e.total_derivative(var), reference_ratexpr_derivative(e, var))
+    assert is_zero(total_derivative(e, "T0") * den - total_derivative(e * den, "T0")
+                   + e * total_derivative(den, "T0"))
+
+
+def test_make_and_monomial_division_match_the_reference():
+    rng = random.Random(707)
+    for space in SPACES:
+        for _ in range(80):
+            a = random_expr(space, rng, rational=True)
+            b = random_expr(space, rng, rational=True)
+            c = random_expr(space, rng, max_factors=1)
+            num, den = a.num.mul(b.den).mul(c.num), a.den.mul(b.num).mul(c.num)
+            _same_expr(RatExpr.make(num, den), reference_make(num, den))
+            # Fraction coefficients, as the parser and samplers store them
+            half = num.scale(Fraction(1, 2))
+            _same_expr(RatExpr.make(half, den), reference_make(half, den))
+            for m in num.terms:
+                for d in c.num.terms:
+                    prod = m.mul(d)
+                    assert prod.div(d).factors == reference_mono_div(prod, d).factors
+                    if not d.divides(m):
+                        with pytest.raises(ValueError):
+                            m.div(d)
+                        with pytest.raises(ValueError):
+                            reference_mono_div(m, d)
+
+
+def _counted_divexact(monkeypatch, divide, *args):
+    """divide(*args) and the number of steps it took: every step divides one
+    leading monomial by the divisor's."""
+    steps = []
+    div = Monomial.div
+    monkeypatch.setattr(Monomial, "div", lambda m, other: steps.append(1) or div(m, other))
+    try:
+        return divide(*args), len(steps)
+    finally:
+        monkeypatch.setattr(Monomial, "div", div)
+
+
+def test_divexact_matches_the_reference_step_for_step(monkeypatch):
+    rng = random.Random(808)
+    for space in SPACES:
+        for _ in range(40):
+            a = random_expr(space, rng, max_terms=4, rational=True).num
+            b = random_expr(space, rng, max_terms=3, rational=True).num
+            product = a.mul(b)
+            blocked = product.add(b.mul(DiffPoly.from_jet(diffalg.random_jet(space, rng))))
+            for p in (product, blocked, product.add(DiffPoly.const(1))):
+                want, want_steps = _counted_divexact(monkeypatch, reference_divexact, p, b)
+                got, got_steps = _counted_divexact(monkeypatch, DiffPoly.divexact, p, b)
+                assert got_steps == want_steps
+                if want is None:
+                    assert got is None
+                    continue
+                _same_poly(got, want)
+                # one step short of the empty remainder, both give up
+                for limit in range(want_steps + 2):
+                    want_l, want_s = _counted_divexact(monkeypatch, reference_divexact,
+                                                       p, b, limit)
+                    got_l, got_s = _counted_divexact(monkeypatch, DiffPoly.divexact,
+                                                     p, b, limit)
+                    assert (got_l is None) == (want_l is None) and got_s == want_s
+                    if want_l is not None:
+                        _same_poly(got_l, want_l)
+
+
+def test_term_cap_fires_in_the_monomial_denominator_derivative():
+    e = rx("X_{T0,T1}*X_{T1} + X_{T0,T0}^2 + X_{T1,T1}*X_{T0} + 1") / rx("X_{T0}^2*X_{T1}")
+    assert len(e.den.terms) == 1
+    # the numerator's derivative fits under the cap, the quotient's numerator
+    # (N'*r - N*(m'/m)*r, 10 terms) does not
+    cap = 9
+    assert len(e.num.total_derivative("T0").terms) <= cap
+    with diffalg.term_cap(cap):
+        with pytest.raises(TermCapError):
+            e.total_derivative("T0")
+    assert len(total_derivative(e, "T0").num.terms) > cap

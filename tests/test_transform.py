@@ -109,7 +109,7 @@ def test_transport_homomorphism_laws(name):
     modulus = _derivative_law_modulus(name, n)
     jets = transportable_jets(m, depth=2)
     rng = random.Random(sum(ord(c) for c in name))
-    weight = dict(max_terms=2, max_factors=1) if name == "C_MR" else dict(max_exp=1)
+    weight = dict(max_terms=3, max_factors=1) if name == "C_MR" else dict(max_exp=1)
     for _ in range(200):
         f = random_poly_from(jets, rng, **weight)
         g = random_poly_from(jets, rng, **weight)
