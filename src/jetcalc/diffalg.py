@@ -594,7 +594,7 @@ class DiffPoly:
         if step_limit is None:
             step_limit = 8 * (len(self.terms) + len(other.terms)) + 64
         # most calls fail on the first leading term: test it before the heap
-        if step_limit < 1 or not glm.divides(self.leading()[0]):
+        if not glm.divides(self.leading()[0]):
             return None
         work = dict(self.terms)
         pending = [_Pending(m) for m in work]
@@ -863,15 +863,15 @@ class RatExpr:
             # The terms go in as N'*den - N*den' would insert them, and
             # normalising gives the same expression without den*den.
             ((m, c),) = den.terms.items()
-            r = tuple([(jet, 1) for jet, _ in m.factors])
+            jets = tuple([(jet, 1) for jet, _ in m.factors])
             q = {}
             for idx, (jet, exp) in enumerate(m.factors):
                 dj = jet.derived(var)
                 if dj is not None:
-                    q[Monomial(_splice(r, idx, dj))] = exp
+                    q[Monomial(_splice(jets, idx, dj))] = exp
             if not q:
                 return RatExpr.make(dn, den)
-            r = Monomial(r)
+            r = Monomial(jets)
             return RatExpr.make(
                 dn.mul(DiffPoly({r: 1}, den._space)).sub(num.mul(DiffPoly(q, den._space))),
                 DiffPoly({m.mul(r): c}, den._space))
