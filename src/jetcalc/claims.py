@@ -26,18 +26,6 @@ from .numoracle import ZERO_TOL
 
 CLAIM_IDS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9")
 
-CLAIM_TITLES = {
-    "C1": "conservative CH equation vanishes under the reciprocal change",
-    "C2": "CH middle equations transport to copies of the transformed system",
-    "C3": "the M system's compatibility yields the CBS equations",
-    "C4": "Qiao equations transport to the modified transformed system",
-    "C5": "the Miura relation maps the transformed Qiao system into the CH one",
-    "C6": "height relation 1/u = (1/P)_X + 1/P from the shared back transport",
-    "C7": "field relations P*Omega^(i+1) = 2(v^(i) - v^(i)_x) hold modulo CH",
-    "C8": "cross-derivative condition of the composite change holds modulo CH",
-    "C9": "every Qiao equation reduces to zero modulo CH under the composite map",
-}
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -241,7 +229,7 @@ def _miura_substituted_bmcbs(n, i, step_cap=reduction.DEFAULT_STEP_CAP):
     rsp = hier.r_space(n)
     fam = hier.gen_mcbs_family(n)
     expr = fam.bmcbs[i - 1].residual
-    x0_img = (rsp.expr("X", T0=2) / rsp.expr("X", T0=1) + rsp.expr("X", T0=1))
+    x0_img = hier._r_big_s(n)
     x_field = rsp.field("x")
     # solve the mixed relation for x_{i+1}:
     #   x_{i+1} = x0*x_{0i} - x_{00i} + x0*X_{i+1}/X0

@@ -232,11 +232,8 @@ def gen_mcbs_family(n):
     sp = r_space(n)
     bmcbs = []
     for i in range(1, n):
-        x0 = sp.expr("x", T0=1)
-        inner = (sp.expr("x", **{f"T{i + 1}": 1}) / x0
-                 + sp.expr("x", T0=2, **{f"T{i}": 1}) / x0)
-        resid = (total_derivative(inner, "T0")
-                 - total_derivative(_HALF * x0 * x0, f"T{i}"))
+        resid = (total_derivative(mi_q_image(n, i), "T0")
+                 - total_derivative(m0_q_image(n), f"T{i}"))
         bmcbs.append(Equation(resid, f"bmcbs_{i}", "BMCBS", i, n))
     msys = [Equation(sp.expr("m", T0=1) - m0_q_image(n), "msys_m0", "MCBS_SYS", None, n)]
     for i in range(1, n):

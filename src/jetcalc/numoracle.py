@@ -25,12 +25,14 @@ sampler stream): the points the stream draws, each with a dict of the jet
 values that the cell's checks have evaluated there.  A value is a function
 of the test function, the system, the point and the jet alone, so a plan
 run at a walk point reads the values it finds and records the ones it
-computes; a led jet whose denominator fell below the floor is recorded as a
-rejection, which rejects the point for every check that reads the jet, at
-the slot where the check's own evaluation would have rejected it.  A run
+computes.  A led jet whose denominator falls below the floor is not
+recorded: every check that reads it recomputes it from the same recorded
+inputs, gets the same float, and rejects the point at the same slot.  A run
 evaluates the test-function factors only when some free jet is missing,
 fills the slots in order, and appends every power that a program uses to a
 flat table of floats; the programs read their factors from that table.
+Evaluation at an explicit JetPoint runs a plan without a test function or a
+system, whose free jets are read from the point's values and never written.
 `SampleWalks` holds a cell's walks over one TestFunction per (space, seed);
 the claim runner creates one per cell, and confirm_zero and
 numeric_proportionality build a private one when given none.
@@ -80,13 +82,6 @@ class SmallDenominatorError(NumericError):
 class JetPoint:
     values: dict
     provenance: str
-
-    def value(self, jet):
-        try:
-            return self.values[jet]
-        except KeyError:
-            raise MissingJetError(f"no value for jet {jet.text()}"
-                                  f" ({self.provenance})") from None
 
 
 class TestFunction:
@@ -163,15 +158,8 @@ class TestFunction:
                 out.append((coeff, tuple(compiled)))
         return out
 
-    def jet_value(self, jet, coords):
-        return self.point((jet,), coords).values[jet]
-
     def sample_coords(self, rng):
         return {v: rng.uniform(-1.0, 1.0) for v in self.space.vars}
-
-    def point(self, jets, coords):
-        return _Plan(self, jets).point(
-            coords, f"TestFunction({self.space.name}, seed={self.seed})")
 
 
 def hash_stable(text):
@@ -225,13 +213,13 @@ class _Plan:
     (num, den) programs of the rule that leads the jet.  After filling a
     slot, a run appends the powers of its value listed in powers[i] to a
     table, and programs read their factors from that table.  programs[k]
-    is exprs[k]'s numerator and denominator.  Without a test function the
-    free jets have no steps, and `table` takes their values instead.
+    is exprs[k]'s numerator and denominator.  Without a test function a
+    free jet's step is (None, None): its value must be known.
     """
 
     __slots__ = ("slot", "steps", "factors", "powers", "programs")
 
-    def __init__(self, tf, jets, system=None, exprs=()):
+    def __init__(self, tf, system, exprs):
         slot = self.slot = {}
         rhs = []  # per slot: None for a free jet, or its rule's lowered (num, den)
 
@@ -247,7 +235,7 @@ class _Plan:
             slot[jet] = len(rhs)
             rhs.append(lowered)
 
-        for jet in chain(jets, *(e.jets() for e in exprs)):
+        for jet in chain.from_iterable(e.jets() for e in exprs):
             if jet not in slot:
                 visit(jet)
         programs = [(_lower(e.num, slot), _lower(e.den, slot)) for e in exprs]
@@ -275,7 +263,9 @@ class _Plan:
         for jet, lowered in zip(slot, rhs):
             if lowered is not None:
                 self.steps.append((compiled(lowered[0]), compiled(lowered[1])))
-            elif tf is not None:
+            elif tf is None:
+                self.steps.append((None, None))
+            else:
                 self.steps.append(([(coeff, _gather([factor.setdefault(f, len(factor))
                                                      for f in fs]))
                                     for coeff, fs in tf._jet_terms(jet)], None))
@@ -283,14 +273,15 @@ class _Plan:
 
     def run(self, coords, known):
         """The table of powers of the slot values at coords.  known maps
-        jets already evaluated at coords to their values, or a led jet to
-        its _Rejection there; the run reads those and records the values it
-        computes."""
+        jets already evaluated at coords to their values; the run reads
+        those and records the values it computes."""
         factors = None
         table = []
         for jet, (a, b), exps in zip(self.slot, self.steps, self.powers):
             x = known.get(jet)
             if x is None:
+                if a is None:
+                    raise MissingJetError(f"no value for jet {jet.text()}")
                 if b is None:
                     if factors is None:
                         factors = [power * math.exp(rate * coords[var]) if phase is None
@@ -298,37 +289,12 @@ class _Plan:
                                    for var, rate, power, phase, shift in self.factors]
                     x = reduce(add, _terms(a, factors), 0.0)
                 else:
-                    try:
-                        n, _, d = _quotient(a, b, table)
-                    except SmallDenominatorError as exc:
-                        known[jet] = _Rejection(str(exc))
-                        raise
+                    n, _, d = _quotient(a, b, table)
                     x = n / d
                 known[jet] = x
-            elif x.__class__ is _Rejection:
-                raise SmallDenominatorError(x.message)
             for exp in exps:
                 table.append(x ** exp)
         return table
-
-    def point(self, coords, provenance):
-        values = {}
-        self.run(coords, values)
-        return JetPoint(values, provenance)
-
-    def table(self, values):
-        """The table of powers of the slot values of a plan without led jets."""
-        return [x ** exp for x, exps in zip(values, self.powers) for exp in exps]
-
-
-class _Rejection:
-    """Recorded at a walk point in place of a led jet whose denominator fell
-    below the floor there."""
-
-    __slots__ = ("message",)
-
-    def __init__(self, message):
-        self.message = message
 
 
 class _Sample:
@@ -353,7 +319,7 @@ class _Sample:
 
 class _Walk:
     """The points of one seeded sampler stream of a test function, drawn on
-    demand; each is (coords, {jet: value or _Rejection})."""
+    demand; each is (coords, {jet: value})."""
 
     __slots__ = ("tf", "rng", "points")
 
@@ -392,19 +358,14 @@ class SampleWalks:
 
 
 def _evaluate(e, point):
-    """(numerator, numerator terms, denominator) of e at a JetPoint or jet
-    getter, or of one of a plan's programs at a _Sample of that plan;
-    denominators below the floor are rejected."""
-    if isinstance(point, _Sample):
-        num, den = e
-        table = point.table()
-    else:
-        e = RatExpr._coerce(e)
-        getter = point.value if isinstance(point, JetPoint) else point
-        plan = _Plan(None, (), exprs=(e,))
-        table = plan.table([getter(jet) for jet in plan.slot])
-        num, den = plan.programs[0]
-    return _quotient(num, den, table)
+    """(numerator, numerator terms, denominator) of e at a JetPoint, or of
+    one of a plan's programs at a _Sample of that plan; denominators below
+    the floor are rejected."""
+    if not isinstance(point, _Sample):
+        point = _Sample(_Plan(None, None, (RatExpr._coerce(e),)), None, point.values)
+        e = point.plan.programs[0]
+    num, den = e
+    return _quotient(num, den, point.table())
 
 
 def eval_expr(e, point):
@@ -440,8 +401,9 @@ def consistent_point(system, jets, tf, coords):
     rule is evaluated from the rule instead, after the jets of its right
     side -- the ranking guarantees this bottoms out on free jets.
     """
-    return _Plan(tf, jets, system).point(
-        coords, f"consistent({tf.space.name}, seed={tf.seed})")
+    values = {}
+    _Plan(tf, system, [RatExpr.from_jet(j) for j in jets]).run(coords, values)
+    return JetPoint(values, f"consistent({tf.space.name}, seed={tf.seed})")
 
 
 def confirm_zero(e, space, seed, points=100, system=None, walks=None):
@@ -453,7 +415,7 @@ def confirm_zero(e, space, seed, points=100, system=None, walks=None):
         return 0.0
     walk = (SampleWalks() if walks is None else walks).walk(
         space, seed, seed * 7919 + 13, system)
-    plan = _Plan(walk.tf, (), system, (e,))
+    plan = _Plan(walk.tf, system, (e,))
     lowered = plan.programs[0]
 
     def residual(coords, known):
@@ -471,7 +433,7 @@ def fd_check(e, var, tf, sample=0):
     extrapolated central differences (steps 1e-3 and 5e-4) along var."""
     e = RatExpr._coerce(e)
     de = e.total_derivative(var)
-    plan = _Plan(tf, (), exprs=(e, de))
+    plan = _Plan(tf, None, (e, de))
     le, lde = plan.programs
     h = 1e-3
 
@@ -496,7 +458,7 @@ def sample_value(e, space, seed):
     seed's evaluation stream, as `jetcalc eval` reports it."""
     e = RatExpr._coerce(e)
     walk = _Walk(TestFunction(space, seed), seed * 65537 + 1)
-    plan = _Plan(walk.tf, (), exprs=(e,))
+    plan = _Plan(walk.tf, None, (e,))
     lowered = plan.programs[0]
     return next(_samples(walk, 1000, lambda coords, known: (
         coords, eval_expr(lowered, _Sample(plan, coords, known)))))
@@ -513,7 +475,7 @@ def numeric_proportionality(a, b, cofactor, trials=100, seed=0, tol=ZERO_TOL,
     if space is None:
         return equivalent(a, cof.mul(b))
     walk = (SampleWalks() if walks is None else walks).walk(space, seed, seed * 31337 + 7)
-    plan = _Plan(walk.tf, (), exprs=(a, cof, b))
+    plan = _Plan(walk.tf, None, (a, cof, b))
     la, lcof, lb = plan.programs
 
     def values(coords, known):

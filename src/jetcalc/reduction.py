@@ -48,12 +48,12 @@ class StepCapError(ReductionError):
 
 class JetRanking:
     """Ranking key: (evolution orders, remaining total order, field priority,
-    multi-index).  Evolution variables default to the space's declaration
-    (T on CH, t on Q, T_n..T_1 on the reciprocal plane)."""
+    multi-index).  The evolution variables are the space's declaration (T on
+    CH, t on Q, T_n..T_1 on the reciprocal plane)."""
 
-    def __init__(self, space, evolution=None):
+    def __init__(self, space):
         self.space = space
-        self.evolution = tuple(evolution) if evolution is not None else space.evolution_vars
+        self.evolution = space.evolution_vars
 
     def key(self, jet):
         evo = tuple(jet.order_of(v) for v in self.evolution)

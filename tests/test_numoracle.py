@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from _helpers import (random_poly_from, reference_confirm_zero,
-                      reference_consistent_point, reference_numeric_proportionality)
+from _helpers import (random_poly_from, reference_confirm_zero, reference_consistent_point,
+                      reference_jet_value, reference_numeric_proportionality)
 from jetcalc import claims, numoracle
-from jetcalc.diffalg import Cofactor, DiffPoly, RatExpr, proportional
+from jetcalc.diffalg import Cofactor, DiffPoly, RatExpr, proportional, random_expr
 from jetcalc.exprio import parse
 from jetcalc.hierarchies import ch_space, gen_cbs_family, gen_ch, q_space, r_space
 from jetcalc.numoracle import (FD_TOL, ZERO_TOL, JetPoint, MissingJetError,
@@ -51,17 +51,31 @@ def test_eval_small_denominator():
         eval_expr(e, _point(R2, {R2.jet("X", T0=1): 1e-15}))
 
 
+def test_evaluation_at_a_jet_point_leaves_its_values_unchanged():
+    point = _point(R2, {R2.jet("X", T0=1): 2.0, R2.jet("X", T0=2): 1e-15})
+    before = dict(point.values)
+    assert eval_expr(parse("X_{T0}^2", R2), point) == 4.0
+    assert relative_residual(parse("X_{T0} - 2", R2), point) == 0.0
+    for check in (eval_expr, relative_residual):
+        with pytest.raises(SmallDenominatorError):
+            check(parse("X_{T0}/X_{T0,T0}", R2), point)
+        with pytest.raises(MissingJetError):
+            check(parse("X_{T0} + X_{T1}", R2), point)
+    assert point.values == before
+
+
 def test_testfunction_jets_solve_their_own_derivatives():
     tf = TestFunction(R2, seed=9)
     rng = random.Random(0)
     coords = tf.sample_coords(rng)
-    x1 = tf.jet_value(R2.jet("X", T0=1), coords)
+    x1 = consistent_point(None, [R2.jet("X", T0=1)], tf, coords).values[R2.jet("X", T0=1)]
     h = 1e-5
     up = dict(coords)
     up["T0"] = coords["T0"] + h
     down = dict(coords)
     down["T0"] = coords["T0"] - h
-    fd = (tf.jet_value(R2.jet("X"), up) - tf.jet_value(R2.jet("X"), down)) / (2 * h)
+    fd = (consistent_point(None, [R2.jet("X")], tf, up).values[R2.jet("X")]
+          - consistent_point(None, [R2.jet("X")], tf, down).values[R2.jet("X")]) / (2 * h)
     assert abs(x1 - fd) <= 1e-8 * max(1.0, abs(x1))
 
 
@@ -93,13 +107,13 @@ def test_fd_check_detects_wrong_derivative():
     rng = random.Random(3)
     coords = tf.sample_coords(rng)
     jets = set(e.jets()) | set(wrong.jets())
-    sym = eval_expr(wrong, tf.point(jets, coords))
+    sym = eval_expr(wrong, consistent_point(None, jets, tf, coords))
     h = 1e-3
 
     def at(offset):
         shifted = dict(coords)
         shifted["T0"] = coords["T0"] + offset
-        return eval_expr(e, tf.point(jets, shifted))
+        return eval_expr(e, consistent_point(None, jets, tf, shifted))
 
     fd = (4 * (at(h / 2) - at(-h / 2)) / h - (at(h) - at(-h)) / (2 * h)) / 3
     rel = abs(sym - fd) / max(1.0, abs(sym), abs(fd))
@@ -235,6 +249,21 @@ def test_consistent_point_is_bit_identical_to_the_reference():
         assert got == reference_consistent_point(sys2, wanted, tf, coords)
 
 
+def test_consistent_point_without_a_system_is_bit_identical_to_the_reference():
+    # the test function's own jets, including ones on three variables,
+    # which are zero
+    rng = random.Random(17)
+    for space in (ch_space(2), q_space(2), R2):
+        for seed in range(5):
+            tf = TestFunction(space, seed)
+            coords = tf.sample_coords(rng)
+            jets = list(random_expr(space, rng, max_terms=4, max_order=3).jets())
+            if space is R2:
+                jets.append(R2.jet("x", T0=1, T1=2, T2=1))
+            got = consistent_point(None, jets, tf, coords).values
+            assert got == {j: reference_jet_value(tf, j, coords) for j in jets}
+
+
 def test_numeric_proportionality_is_bit_identical_to_the_reference():
     # the good and the mutated cofactor of acceptance criterion 7
     img = transport(build_map("R_CH", 2), gen_ch(2)[1].residual)
@@ -292,7 +321,8 @@ def test_a_led_jets_rejection_rejects_only_the_checks_that_read_it():
     # walk's first point, rejects that point for every check reading X_{T0,T1}
     seed = 7
     coords = TestFunction(R2, seed).sample_coords(random.Random(seed * 7919 + 13))
-    c = Fraction(TestFunction(R2, seed).jet_value(R2.jet("X", T0=1), coords))
+    c = Fraction(consistent_point(None, [R2.jet("X", T0=1)], TestFunction(R2, seed),
+                                  coords).values[R2.jet("X", T0=1)])
     lead = R2.jet("X", T0=1, T1=1)
     system = RewriteSystem(
         [RewriteRule(lead, RatExpr.const(1) / (R2.expr("X", T0=1) - c), "synthetic")],
@@ -304,12 +334,11 @@ def test_a_led_jets_rejection_rejects_only_the_checks_that_read_it():
                for e in (reads, skips, reads)]
     (walk,) = walks.walks.values()
     assert len(walk.points) == 2
-    assert not isinstance(walk.points[0][1][R2.jet("X", T1=1)], numoracle._Rejection)
-    assert isinstance(walk.points[0][1][lead], numoracle._Rejection)
+    assert R2.jet("X", T1=1) in walk.points[0][1]
+    assert lead not in walk.points[0][1]
     # with points=1 each result is the residual at the first point it accepts
     for e, got in zip((reads, skips, reads), results):
         assert got == reference_confirm_zero(e, R2, seed, points=1, system=system)
     assert results[0] != results[1]
     assert results[1] == relative_residual(
-        skips, JetPoint({j: TestFunction(R2, seed).jet_value(j, coords)
-                         for j in skips.jets()}, "first point"))
+        skips, consistent_point(None, skips.jets(), TestFunction(R2, seed), coords))
