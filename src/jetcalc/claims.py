@@ -166,30 +166,39 @@ def _c2(r, n):
         f"{closing.term_count()} terms: {exprio.print_text(closing)}"))
 
 
-def _substituted_cbs(n, i):
+def _derivative(jet, lower_image, var):
+    return lower_image.total_derivative(var)
+
+
+def _eliminate(expr, images, base, step_cap, what):
+    """expr with every jet of base's field replaced by its image from images,
+    prolonged from base where images lacks it; more than step_cap
+    substitutions raise StepCapError."""
+    trace = []
+    while True:
+        target = next((jet for jet in expr.jets() if jet.field is base.field), None)
+        if target is None:
+            return expr
+        if len(trace) == step_cap:
+            raise reduction.StepCapError(
+                f"{what} substitution exceeded {step_cap} steps", trace[-12:])
+        image = diffalg.prolong(images, base, target, _derivative)
+        expr = substitute_jet(expr, target, image)
+        trace.append(target.text())
+
+
+def _substituted_cbs(n, i, step_cap=reduction.DEFAULT_STEP_CAP):
     """cbs_i with every M jet replaced by the corresponding T-derivatives of
     the defining X-expressions (jets carrying a T0 derivative come from the
     M_0 equation, bare M_j jets from the M_j one)."""
     fam = hier.gen_cbs_family(n)
     eq = next(e for e in fam.cbs if e.i == i)
-    m_field = hier.r_space(n).field("M")
-    m0_expr = hier.m0_image(n)
-    expr = eq.residual
-    for jet in list(expr.jets()):
-        if jet.field is not m_field:
-            continue
-        orders = jet.multi_index()
-        if orders.get("T0", 0) >= 1:
-            image = m0_expr
-            for var, k in orders.items():
-                for _ in range(k - 1 if var == "T0" else k):
-                    image = image.total_derivative(var)
-        else:
-            (var, k), = orders.items()
-            assert k == 1
-            image = hier.mi_image(n, int(var[1:]))
-        expr = substitute_jet(expr, jet, image)
-    return expr
+    rsp = hier.r_space(n)
+    base = rsp.jet("M", T0=1)
+    images = {base: hier.m0_image(n)}
+    for j in range(1, n):
+        images[rsp.jet("M", **{f"T{j}": 1})] = hier.mi_image(n, j)
+    return _eliminate(eq.residual, images, base, step_cap, "M")
 
 
 def _c3(r, n):
@@ -198,7 +207,7 @@ def _c3(r, n):
         return
     system = reduction.standard_systems("BCBS", n, step_cap=r.step_cap)
     for i in range(1, n):
-        expr = _substituted_cbs(n, i)
+        expr = _substituted_cbs(n, i, r.step_cap)
         r.zero_check(f"cbs_{i} modulo bcbs", expr, hier.r_space(n), system=system)
 
 
@@ -229,8 +238,6 @@ def _miura_substituted_bmcbs(n, i, step_cap=reduction.DEFAULT_STEP_CAP):
     rsp = hier.r_space(n)
     fam = hier.gen_mcbs_family(n)
     expr = fam.bmcbs[i - 1].residual
-    x0_img = hier._r_big_s(n)
-    x_field = rsp.field("x")
     # solve the mixed relation for x_{i+1}:
     #   x_{i+1} = x0*x_{0i} - x_{00i} + x0*X_{i+1}/X0
     x0 = rsp.expr("x", T0=1)
@@ -238,22 +245,8 @@ def _miura_substituted_bmcbs(n, i, step_cap=reduction.DEFAULT_STEP_CAP):
               - rsp.expr("x", T0=2, **{f"T{i}": 1})
               + x0 * rsp.expr("X", **{f"T{i + 1}": 1}) / rsp.expr("X", T0=1))
     expr = substitute_jet(expr, rsp.jet("x", **{f"T{i + 1}": 1}), x_next)
-    trace = []
-    while True:
-        target = next((jet for jet in expr.jets()
-                       if jet.field is x_field and jet.order_of("T0") >= 1), None)
-        if target is None:
-            return expr
-        if len(trace) == step_cap:
-            raise reduction.StepCapError(
-                f"height substitution exceeded {step_cap} steps", trace[-12:])
-        image = x0_img
-        for var, k in target.multi_index().items():
-            steps = k - 1 if var == "T0" else k
-            for _ in range(steps):
-                image = image.total_derivative(var)
-        expr = substitute_jet(expr, target, image)
-        trace.append(target.text())
+    base = rsp.jet("x", T0=1)
+    return _eliminate(expr, {base: hier._r_big_s(n)}, base, step_cap, "height")
 
 
 def _c5(r, n):

@@ -1026,19 +1026,11 @@ def substitute_jet(e, jet, replacement):
     replacement = RatExpr._coerce(replacement)
 
     def sub_poly(poly):
+        # mono = jet^k * rest, so a remainder occurs once per exponent
         by_exp = {}
         for mono, coeff in poly.terms.items():
             k, rest = mono.without(jet)
-            bucket = by_exp.setdefault(k, {})
-            s = bucket.get(rest)
-            if s is None:
-                bucket[rest] = coeff
-            else:
-                s = s + coeff
-                if s:
-                    bucket[rest] = s
-                else:
-                    del bucket[rest]
+            by_exp.setdefault(k, {})[rest] = coeff
         out = RAT_ZERO
         for k, bucket in sorted(by_exp.items()):
             part = RatExpr.make(DiffPoly(bucket))
@@ -1050,6 +1042,25 @@ def substitute_jet(e, jet, replacement):
     num = sub_poly(e.num)
     den = sub_poly(e.den)
     return num.div(den)
+
+
+def prolong(images, base, jet, derive):
+    """images[jet], prolonged from base by total derivatives.
+
+    images holds base's image.  A missing jet is lowered along the first
+    variable in which it exceeds base, the lower image is prolonged in turn,
+    and derive(jet, lower_image, var) gives the image, which is memoised in
+    images.  A jet that does not dominate base raises DiffAlgError."""
+    image = images.get(jet)
+    if image is not None:
+        return image
+    if not jet.dominates(base):
+        raise DiffAlgError(f"{jet.text()} is not a prolongation of {base.text()}")
+    var = next(v for v, have, want in zip(jet.field.deps, base.orders, jet.orders)
+               if want > have)
+    image = derive(jet, prolong(images, base, jet.lowered(var), derive), var)
+    images[jet] = image
+    return image
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,6 @@ class SmallDenominatorError(NumericError):
 @dataclass(frozen=True)
 class JetPoint:
     values: dict
-    provenance: str
 
 
 class TestFunction:
@@ -403,7 +402,7 @@ def consistent_point(system, jets, tf, coords):
     """
     values = {}
     _Plan(tf, system, [RatExpr.from_jet(j) for j in jets]).run(coords, values)
-    return JetPoint(values, f"consistent({tf.space.name}, seed={tf.seed})")
+    return JetPoint(values)
 
 
 def confirm_zero(e, space, seed, points=100, system=None, walks=None):

@@ -2,8 +2,9 @@
 
 An equation whose residual is linear in a chosen leading jet is oriented into
 a rule lead -> rhs; reduction replaces every jet that dominates a rule's lead
-(a prolongation: total derivatives of both sides) by the correspondingly
-derived rhs, until no jet in the expression matches.  The jet ranking is
+by the rhs prolonged to that jet (total derivatives of both sides), until no
+jet in the expression matches.  Prolongation goes through diffalg.prolong
+with one memo per rule lead.  The jet ranking is
 lexicographic on (evolution-variable derivative orders, remaining total
 order, field priority, multi-index); rules are validated so every rewrite
 strictly lowers the ranked jets present, which gives termination.  Confluence
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import hierarchies as hier
-from .diffalg import DiffAlgError, DiffPoly, JetVar, RatExpr, substitute_jet
+from .diffalg import DiffAlgError, DiffPoly, JetVar, RatExpr, prolong, substitute_jet
 
 DEFAULT_STEP_CAP = 10_000
 
@@ -79,27 +80,25 @@ def orient(eq, lead):
         if jet is lead:
             raise NonlinearLeadError(
                 f"{lead.text()} occurs in the denominator of {origin}")
+    # mono = lead^k * remainder, so a remainder occurs once per exponent
     coeff_terms = {}
     rest_terms = {}
     for mono, c in residual.num.terms.items():
         k, remainder = mono.without(lead)
         if k == 0:
-            rest_terms[remainder] = rest_terms.get(remainder, 0) + c
+            rest_terms[remainder] = c
         elif k == 1:
             if any(j is lead for j in remainder.jets()):
                 raise NonlinearLeadError(
                     f"{lead.text()} occurs nonlinearly in {origin}")
-            coeff_terms[remainder] = coeff_terms.get(remainder, 0) + c
+            coeff_terms[remainder] = c
         else:
             raise NonlinearLeadError(
                 f"{lead.text()} occurs with exponent {k} in {origin}")
     if not coeff_terms:
         raise LeadAbsentError(f"{lead.text()} is absent from {origin}")
-    coeff = DiffPoly({m: c for m, c in coeff_terms.items() if c})
-    rest = DiffPoly({m: c for m, c in rest_terms.items() if c})
-    if coeff.is_zero():
-        raise LeadAbsentError(
-            f"solved coefficient of {lead.text()} in {origin} is identically zero")
+    coeff = DiffPoly(coeff_terms)
+    rest = DiffPoly(rest_terms)
     # the residual's denominator scales the lead coefficient and the remainder
     # identically, so the solved form is simply -rest/coeff
     rhs = RatExpr.make(rest.neg(), coeff)
@@ -119,12 +118,14 @@ class RewriteSystem:
         self.rules = tuple(rules)
         self.ranking = ranking
         self.step_cap = step_cap
+        # one memo per rule lead: {jet: rhs prolonged to jet}
         self._prolonged = {}
         for rule in self.rules:
             for jet in rule.rhs.jets():
                 if ranking.key(jet) >= ranking.key(rule.lead):
                     raise RankingViolationError(
                         f"rule {rule.origin}: {jet.text()} >= lead {rule.lead.text()}")
+            self._prolonged.setdefault(rule.lead, {rule.lead: rule.rhs})
 
     def match_all(self, jet):
         return [rule for rule in self.rules if jet.dominates(rule.lead)]
@@ -140,25 +141,16 @@ class RewriteSystem:
 
     def prolonged_rhs(self, rule, jet):
         """rhs of the rule prolonged so that its lead equals jet."""
-        cached = self._prolonged.get((rule.lead, jet))
-        if cached is not None:
-            return cached
-        if jet is rule.lead:
-            rhs = rule.rhs
-        else:
-            for var, have, want in zip(jet.field.deps, rule.lead.orders, jet.orders):
-                if want > have:
-                    lower = jet.lowered(var)
-                    rhs = self.prolonged_rhs(rule, lower).total_derivative(var)
-                    break
-            else:
-                raise ValueError("prolongation does not dominate the rule lead")
-            key = self.ranking.key(jet)
-            for j in rhs.jets():
-                if self.ranking.key(j) >= key:
-                    raise RankingViolationError(
-                        f"prolonged rule for {jet.text()} contains {j.text()}")
-        self._prolonged[(rule.lead, jet)] = rhs
+        return prolong(self._prolonged[rule.lead], rule.lead, jet, self._derived_rhs)
+
+    def _derived_rhs(self, jet, lower_rhs, var):
+        """The prolonged rhs for jet; it must stay below jet in the ranking."""
+        rhs = lower_rhs.total_derivative(var)
+        key = self.ranking.key(jet)
+        for j in rhs.jets():
+            if self.ranking.key(j) >= key:
+                raise RankingViolationError(
+                    f"prolonged rule for {jet.text()} contains {j.text()}")
         return rhs
 
     def reduce(self, e, rng=None):

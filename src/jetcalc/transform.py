@@ -4,8 +4,9 @@ A DerivationMap sends designated source jets to target expressions and each
 source direction to a derivation of the target space (a coefficient-weighted
 sum of target total derivatives).  Transport is the induced differential-ring
 homomorphism: higher source jets are reached by applying the derivation
-images to the designated images, so an equation can be pushed through a
-reciprocal or Miura change without ever integrating.
+images to the designated images (one memoised prolongation per map, through
+diffalg.prolong), so an equation can be pushed through a reciprocal or Miura
+change without ever integrating.
 
 Five named maps are built here:
 
@@ -31,7 +32,7 @@ import random
 from fractions import Fraction
 
 from . import hierarchies as hier
-from .diffalg import DiffAlgError, RatExpr, random_expr, total_derivative
+from .diffalg import DiffAlgError, RatExpr, prolong, random_expr, total_derivative
 
 
 class TransportError(DiffAlgError):
@@ -79,7 +80,7 @@ class DerivationMap:
             # partial inverses reach X_{T0,Ti} from X_{Ti} via d_{T0} alone,
             # which is the route valid off-shell)
             jets.sort(key=lambda j: tuple(reversed(j.orders)), reverse=True)
-        self._jet_cache = {}
+        self._jet_cache = dict(self.field_images)
 
     def derive(self, expr, var):
         """Apply the derivation image of the source direction var."""
@@ -93,28 +94,23 @@ class DerivationMap:
         return out
 
     def jet_image(self, jet):
-        cached = self._jet_cache.get(jet)
-        if cached is not None:
-            return cached
-        image = self.field_images.get(jet)
-        if image is None:
-            bases = self._designated.get(jet.field)
-            if not bases:
-                raise BelowDesignatedJetError(
-                    f"map {self.name} has no image for field {jet.field.label()}")
-            base = next((b for b in bases if jet.dominates(b)), None)
-            if base is None:
-                raise BelowDesignatedJetError(
-                    f"jet {jet.text()} lies below every designated jet of field "
-                    f"{jet.field.label()} under map {self.name}")
-            for var, have, want in zip(jet.field.deps, base.orders, jet.orders):
-                if want > have:
-                    image = self.derive(self.jet_image(jet.lowered(var)), var)
-                    break
-            else:
-                raise AssertionError("dominating jet with no excess order")
-        self._jet_cache[jet] = image
-        return image
+        """Image of jet, prolonged from the first designated jet it dominates."""
+        image = self._jet_cache.get(jet)
+        if image is not None:
+            return image
+        bases = self._designated.get(jet.field)
+        if not bases:
+            raise BelowDesignatedJetError(
+                f"map {self.name} has no image for field {jet.field.label()}")
+        base = next((b for b in bases if jet.dominates(b)), None)
+        if base is None:
+            raise BelowDesignatedJetError(
+                f"jet {jet.text()} lies below every designated jet of field "
+                f"{jet.field.label()} under map {self.name}")
+        return prolong(self._jet_cache, base, jet, self._derived_image)
+
+    def _derived_image(self, jet, lower_image, var):
+        return self.derive(lower_image, var)
 
     def transport(self, e):
         """Push e (over the source space) to the target space homomorphically."""
@@ -154,8 +150,6 @@ _ENDS = {
     "B_Q": (hier.r_space, hier.q_space),
     "C_MR": (hier.q_space, hier.ch_space),
 }
-
-MAP_NAMES = tuple(_ENDS)
 
 
 def _images(which, n, src, tgt):

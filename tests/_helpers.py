@@ -367,3 +367,18 @@ def reference_ratexpr_derivative(e, var):
     if dd.is_zero():
         return reference_make(dn, e.den)
     return reference_make(dn.mul(e.den).sub(e.num.mul(dd)), e.den.mul(e.den))
+
+
+# -- reference prolongation --------------------------------------------------
+# The derivative loop the C3 and C5 substitutions ran before they prolonged
+# through diffalg.prolong, kept verbatim (as a function of the base image
+# and the target jet) so that tests can demand equal images from prolong.
+
+def reference_t0_first_image(image, target):
+    """The image of the base jet (one T0 derivative) prolonged to target:
+    the remaining derivatives in declared variable order, T0 first."""
+    for var, k in target.multi_index().items():
+        steps = k - 1 if var == "T0" else k
+        for _ in range(steps):
+            image = image.total_derivative(var)
+    return image

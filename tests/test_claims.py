@@ -2,7 +2,10 @@
 
 import pytest
 
-from jetcalc.claims import CLAIM_IDS, run_all, run_claim
+from _helpers import reference_t0_first_image
+from jetcalc import hierarchies as hier
+from jetcalc.claims import CLAIM_IDS, _derivative, run_all, run_claim
+from jetcalc.diffalg import prolong
 
 
 def test_c1_passes_at_n3():
@@ -92,6 +95,32 @@ def test_height_substitution_honours_the_step_cap():
     (engine,) = [c for c in rep.checks if c.status == "error"]
     assert engine.note.startswith("StepCapError: height substitution exceeded 3 steps")
     assert "last rewrites: x_{" in engine.note
+
+
+def test_m_substitution_honours_the_step_cap():
+    rep = run_claim("C3", 3, step_cap=2)
+    assert rep.status == "error"
+    (engine,) = [c for c in rep.checks if c.status == "error"]
+    assert engine.note.startswith("StepCapError: M substitution exceeded 2 steps")
+    assert "last rewrites: M_{" in engine.note
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_prolonged_m_and_height_images_match_the_t0_first_loop(n):
+    rsp = hier.r_space(n)
+    m_base, x_base = rsp.jet("M", T0=1), rsp.jet("x", T0=1)
+    m_images, x_images = {m_base: hier.m0_image(n)}, {x_base: hier._r_big_s(n)}
+    m_jets = {jet for eq in hier.gen_cbs_family(n).cbs for jet in eq.residual.jets()
+              if jet.dominates(m_base)}
+    assert m_jets
+    for jet in m_jets:
+        assert (prolong(m_images, m_base, jet, _derivative)
+                == reference_t0_first_image(m_images[m_base], jet))
+    for a in range(1, 5):
+        for j in range(1, n + 1):
+            jet = rsp.jet("x", T0=a, **{f"T{j}": 1})
+            assert (prolong(x_images, x_base, jet, _derivative)
+                    == reference_t0_first_image(x_images[x_base], jet))
 
 
 def test_claim_ids_complete():

@@ -11,9 +11,9 @@ from _helpers import (reference_divexact, reference_make, reference_mono_cmp,
                       reference_total_derivative)
 from jetcalc import diffalg
 from jetcalc.diffalg import (
-    Cofactor, DiffPoly, JetVar, Monomial, RatExpr, SpaceMismatchError, TermCapError,
-    UnknownVariableError, ZeroDivisionExprError, combine, equivalent, is_zero,
-    proportional, random_expr, substitute_jet, total_derivative,
+    Cofactor, DiffAlgError, DiffPoly, JetVar, Monomial, RatExpr, SpaceMismatchError,
+    TermCapError, UnknownVariableError, ZeroDivisionExprError, combine, equivalent,
+    is_zero, prolong, proportional, random_expr, substitute_jet, total_derivative,
 )
 from jetcalc.exprio import from_json, parse, print_text, to_json
 from jetcalc.hierarchies import ch_space, mr_space, q_space, r_space
@@ -407,3 +407,31 @@ def test_term_cap_fires_in_the_monomial_denominator_derivative():
         with pytest.raises(TermCapError):
             e.total_derivative("T0")
     assert len(total_derivative(e, "T0").num.terms) > cap
+
+
+def _derivative(jet, lower, var):
+    return lower.total_derivative(var)
+
+
+def test_prolong_lowers_along_the_first_excess_variable_and_memoises():
+    base = R.jet("X", T0=1)
+    images = {base: rx("X_{T0}^2")}
+    steps = []
+
+    def derive(jet, lower, var):
+        steps.append((jet.text(), var))
+        return lower.total_derivative(var)
+
+    got = prolong(images, base, R.jet("X", T0=2, T1=1), derive)
+    assert is_zero(got - rx("X_{T0}^2").total_derivative("T1").total_derivative("T0"))
+    assert steps == [("X_{T0,T1}", "T1"), ("X_{T0,T0,T1}", "T0")]
+    assert set(images) == {base, R.jet("X", T0=1, T1=1), R.jet("X", T0=2, T1=1)}
+    assert prolong(images, base, R.jet("X", T0=2, T1=1), derive) is got
+    assert len(steps) == 2
+
+
+@pytest.mark.parametrize("jet", [R.jet("X", T1=1), R.jet("X"), R.jet("M", T0=1)])
+def test_prolong_rejects_a_jet_that_does_not_dominate_the_base(jet):
+    base = R.jet("X", T0=1)
+    with pytest.raises(DiffAlgError, match=r"is not a prolongation of X_\{T0\}"):
+        prolong({base: rx("X_{T0}")}, base, jet, _derivative)

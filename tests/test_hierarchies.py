@@ -78,7 +78,7 @@ def test_m0_equation_at_flat_point():
     sp = r_space(2)
     values = {j: 0.0 for j in eq.residual.jets()}
     values[sp.jet("X", T0=1)] = 1.0
-    got = eval_expr(eq.residual, JetPoint(values, "flat"))
+    got = eval_expr(eq.residual, JetPoint(values))
     assert abs(got - 0.125) < 1e-15
 
 

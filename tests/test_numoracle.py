@@ -24,7 +24,7 @@ R2 = r_space(2)
 
 
 def _point(space, mapping):
-    return JetPoint(dict(mapping), "explicit")
+    return JetPoint(dict(mapping))
 
 
 def test_eval_square():

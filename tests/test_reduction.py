@@ -6,7 +6,7 @@ import pytest
 
 from _helpers import random_poly_from
 from jetcalc import reduction
-from jetcalc.diffalg import is_zero, substitute_jet, total_derivative
+from jetcalc.diffalg import DiffAlgError, is_zero, substitute_jet, total_derivative
 from jetcalc.exprio import parse
 from jetcalc.hierarchies import (ch_space, gen_cbs_family, gen_ch,
                                  gen_miura_relations, gen_qiao, r_space)
@@ -118,6 +118,41 @@ def test_prolonged_rules_stay_below_their_lead():
             rhs = sys2.prolonged_rhs(sys2.match(jet), jet)
             for j in rhs.jets():
                 assert ranking.key(j) < ranking.key(jet)
+
+
+class _LeadsOnTop:
+    """A ranking stub: the given jets above every other jet, the rest alike."""
+
+    def __init__(self, *leads):
+        self.leads = set(leads)
+
+    def key(self, jet):
+        return int(jet in self.leads)
+
+    def higher(self, a, b):
+        return self.key(a) > self.key(b)
+
+
+def test_prolongation_checks_the_ranking_of_every_right_side():
+    rule = orient(gen_ch(2)[0], CH2.jet("P", T=1))
+    p_xt = rule.lead.derived("X")
+    p_xxt = p_xt.derived("X")
+    # the rule passes the constructor, its prolongations rank level with
+    # their right sides
+    system = RewriteSystem([rule], _LeadsOnTop(rule.lead, p_xxt))
+    with pytest.raises(RankingViolationError, match=r"for P_\{X,T\} contains"):
+        system.prolonged_rhs(rule, p_xt)
+    # P_{X,X,T} itself outranks its right side; the P_{X,T} step does not
+    with pytest.raises(RankingViolationError, match=r"for P_\{X,T\} contains"):
+        system.prolonged_rhs(rule, p_xxt)
+    assert system.prolonged_rhs(rule, rule.lead) is rule.rhs
+
+
+def test_prolonging_to_a_jet_below_the_lead_is_an_engine_error():
+    system = standard_systems("CH", 2)
+    rule = system.match(CH2.jet("P", T=1))
+    with pytest.raises(DiffAlgError):
+        system.prolonged_rhs(rule, CH2.jet("P", X=2))
 
 
 def test_step_cap_reported_as_nontermination():
