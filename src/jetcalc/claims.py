@@ -16,7 +16,6 @@ but not judged: the source text displays no target form for them.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -184,7 +183,7 @@ def _eliminate(expr, images, base, step_cap, what):
                 f"{what} substitution exceeded {step_cap} steps", trace[-12:])
         image = diffalg.prolong(images, base, target, _derivative)
         expr = substitute_jet(expr, target, image)
-        trace.append(target.text())
+        trace.append(target)
 
 
 def _substituted_cbs(n, i, step_cap=reduction.DEFAULT_STEP_CAP):
@@ -358,6 +357,8 @@ def run_all(n_max, claims=None, seed=0, jobs=1,
     cells = [(c, n, seed, step_cap, term_cap, zero_tol)
              for c in selected for n in range(1, n_max + 1)]
     if jobs and jobs > 1:
+        # imported here: serial runs and `import jetcalc.cli` do not pay for it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_cell, cells))
     else:

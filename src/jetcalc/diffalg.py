@@ -10,11 +10,15 @@ coprime ints, and constants, scaling and exact division keep integral
 coefficients as ints, so the hot loops stay off Fraction arithmetic.  There is deliberately
 no multivariate polynomial GCD; addition and multiplication instead look for
 exact-division common denominators to keep denominator towers like
-(P - P_X)^k flat.  Exact division keeps its pending terms in a heap (after
-Monagan & Pearce, Sparse polynomial division using a heap), and the
-derivative of a quotient over a one-term denominator c*m is taken over
-c*m*r, with r the product of m's jets, instead of over the squared
-denominator.  Both give the same normalized values, with the terms in
+(P - P_X)^k flat.  A trial division runs only when the divisor's leading and
+trailing monomials divide the dividend's: the monomial order is compatible
+with multiplication, so the leading and trailing monomials of q*d are those
+of q times those of d, and a divisor that fails the test cannot divide
+exactly.  In reduction, most trial divisions fail that test.  Exact
+division keeps its pending terms in a heap (after Monagan & Pearce, Sparse
+polynomial division using a heap), and the derivative of a quotient over a
+one-term denominator c*m is taken over c*m*r, with r the product of m's
+jets, instead of over the squared denominator.  Both give the same normalized values, with the terms in
 the same order, as the plain max-rescanning division and quotient rule.
 
 Spaces, fields and jets are canonical: a space's fields are created once,
@@ -656,6 +660,20 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _may_divide(num, den):
+    """False only where num.divexact(den) returns None; num is nonzero.
+
+    If num = q*den, the leading monomial of num is lead(q)*lead(den) and its
+    trailing one trail(q)*trail(den): the monomial order is compatible with
+    multiplication, and over Q the coefficients of those products cannot
+    cancel.  So den's leading and trailing monomials must divide num's.  The
+    trailing test runs only once the leading one has passed."""
+    num._check_space(den)
+    if not max(den.terms, key=_mono_key).divides(max(num.terms, key=_mono_key)):
+        return False
+    return min(den.terms, key=_mono_key).divides(min(num.terms, key=_mono_key))
+
+
 def _monomial_gcd(polys):
     """Componentwise minimum exponent over every term of every polynomial."""
     common = None
@@ -782,12 +800,14 @@ class RatExpr:
             return self
         if self.den == other.den:
             return RatExpr.make(self.num.add(other.num), self.den)
-        q = other.den.divexact(self.den)
-        if q is not None:
-            return RatExpr.make(self.num.mul(q).add(other.num), other.den)
-        q = self.den.divexact(other.den)
-        if q is not None:
-            return RatExpr.make(self.num.add(other.num.mul(q)), self.den)
+        if _may_divide(other.den, self.den):
+            q = other.den.divexact(self.den)
+            if q is not None:
+                return RatExpr.make(self.num.mul(q).add(other.num), other.den)
+        if _may_divide(self.den, other.den):
+            q = self.den.divexact(other.den)
+            if q is not None:
+                return RatExpr.make(self.num.add(other.num.mul(q)), self.den)
         return RatExpr.make(
             self.num.mul(other.den).add(other.num.mul(self.den)),
             self.den.mul(other.den))
@@ -806,11 +826,11 @@ class RatExpr:
             return RAT_ZERO
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
-        if not d2.is_const():
+        if not d2.is_const() and _may_divide(n1, d2):
             q = n1.divexact(d2)
             if q is not None:
                 n1, d2 = q, _POLY_ONE
-        if not d1.is_const():
+        if not d1.is_const() and _may_divide(n2, d1):
             q = n2.divexact(d1)
             if q is not None:
                 n2, d1 = q, _POLY_ONE

@@ -40,11 +40,13 @@ class RankingViolationError(ReductionError):
 
 
 class StepCapError(ReductionError):
-    """Reduction exceeded the step cap; reported as non-termination."""
+    """Reduction exceeded the step cap; reported as non-termination.
+
+    It is built from the last substituted jets; .trace holds their text."""
 
     def __init__(self, message, trace):
-        super().__init__(message + "; last rewrites: " + ", ".join(trace))
-        self.trace = tuple(trace)
+        self.trace = tuple(jet.text() for jet in trace)
+        super().__init__(message + "; last rewrites: " + ", ".join(self.trace))
 
 
 class JetRanking:
@@ -181,7 +183,7 @@ class RewriteSystem:
                     f"reduction exceeded {self.step_cap} steps", trace[-12:])
             rhs = self.prolonged_rhs(rule, jet)
             e = substitute_jet(e, jet, rhs)
-            trace.append(jet.text())
+            trace.append(jet)
 
 
 def reduce(sys, e, rng=None):

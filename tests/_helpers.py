@@ -1,12 +1,13 @@
 """Shared test utilities: constrained samplers for transportable expressions,
-the reference numeric oracle, the reference monomial order and the reference
-exact core."""
+the reference numeric oracle, the reference monomial order, the reference
+exact core and the reference common-denominator search."""
 
 import math
 import random
 from fractions import Fraction
 
-from jetcalc.diffalg import DiffPoly, Monomial, RatExpr, ZeroDivisionExprError
+from jetcalc.diffalg import (_POLY_ONE, RAT_ZERO, DiffPoly, Monomial, RatExpr,
+                             ZeroDivisionExprError)
 from jetcalc.numoracle import DEN_FLOOR, ZERO_TOL, SmallDenominatorError, TestFunction
 
 
@@ -382,3 +383,44 @@ def reference_t0_first_image(image, target):
         for _ in range(steps):
             image = image.total_derivative(var)
     return image
+
+
+# -- reference common-denominator search -------------------------------------
+# RatExpr.add and RatExpr.mul as they were before a monomial test ruled out
+# trial divisions that cannot succeed, kept verbatim so that tests can
+# demand the same expressions, with the terms in the same order.
+
+def reference_add(self, other):
+    other = RatExpr._coerce(other)
+    if self.is_zero():
+        return other
+    if other.is_zero():
+        return self
+    if self.den == other.den:
+        return RatExpr.make(self.num.add(other.num), self.den)
+    q = other.den.divexact(self.den)
+    if q is not None:
+        return RatExpr.make(self.num.mul(q).add(other.num), other.den)
+    q = self.den.divexact(other.den)
+    if q is not None:
+        return RatExpr.make(self.num.add(other.num.mul(q)), self.den)
+    return RatExpr.make(
+        self.num.mul(other.den).add(other.num.mul(self.den)),
+        self.den.mul(other.den))
+
+
+def reference_mul(self, other):
+    other = RatExpr._coerce(other)
+    if self.is_zero() or other.is_zero():
+        return RAT_ZERO
+    n1, d1 = self.num, self.den
+    n2, d2 = other.num, other.den
+    if not d2.is_const():
+        q = n1.divexact(d2)
+        if q is not None:
+            n1, d2 = q, _POLY_ONE
+    if not d1.is_const():
+        q = n2.divexact(d1)
+        if q is not None:
+            n2, d1 = q, _POLY_ONE
+    return RatExpr.make(n1.mul(n2), d1.mul(d2))

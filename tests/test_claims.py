@@ -103,6 +103,10 @@ def test_m_substitution_honours_the_step_cap():
     (engine,) = [c for c in rep.checks if c.status == "error"]
     assert engine.note.startswith("StepCapError: M substitution exceeded 2 steps")
     assert "last rewrites: M_{" in engine.note
+    rep = run_claim("C3", 5, step_cap=5)
+    (engine,) = [c for c in rep.checks if c.status == "error"]
+    assert engine.note == ("StepCapError: M substitution exceeded 5 steps; last rewrites: "
+                           "M_{T0,T2}, M_{T0,T0,T0,T1}, M_{T1}, M_{T0}, M_{T0,T0}")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -2,11 +2,20 @@
 
 import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from _helpers import random_poly_from, transportable_jets
 from jetcalc.claims import run_claim
 from jetcalc.cli import main
+from jetcalc.exprio import print_text
+from jetcalc.hierarchies import gen_qiao
+from jetcalc.transform import build_map
 
 
 def test_gen_latex_matches_notation(capsys):
@@ -109,6 +118,25 @@ def test_reduce_prolongation(capsys):
     assert out == "-1/2*P^3 - 1/2*P*Omega[1] - P_{X}*Omega[1]_{X} - 1/2*P_{X,X}*Omega[1]"
 
 
+def test_reduce_outputs_are_pinned(capsys):
+    # CH normal forms at n=3 of printed C_MR images: C9's seven equations and
+    # sixteen seeded expressions; a speed-up of the exact core or of the
+    # reduction must leave the printed normal forms unchanged
+    m = build_map("C_MR", 3)
+    exprs = [eq.residual.total_derivative("x") if eq.label == "E_Q3n" else eq.residual
+             for eq in gen_qiao(3)]
+    rng = random.Random(2024)
+    jets = transportable_jets(m)
+    exprs += [random_poly_from(jets, rng, max_terms=3, max_factors=2, max_exp=1)
+              for _ in range(16)]
+    out = []
+    for e in exprs:
+        text = print_text(m.transport(e))
+        assert main(["reduce", "--system", "ch", "--n", "3", "--expr", text]) == 0
+        out.append(capsys.readouterr().out)
+    assert hashlib.md5("".join(out).encode()).hexdigest() == "270b2f4382a5e065dba04dc8e90012f2"
+
+
 def test_reduce_bcbs_needs_n2(capsys):
     assert main(["reduce", "--system", "bcbs", "--n", "1", "--expr", "X_{T0}"]) == 2
 
@@ -133,3 +161,12 @@ def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as err:
         main(["gen", "--system", "nope", "--n", "1"])
     assert err.value.code == 2
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only a parallel run_all needs concurrent.futures
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    probe = "import sys, jetcalc.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

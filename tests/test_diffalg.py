@@ -6,9 +6,10 @@ from functools import cmp_to_key
 
 import pytest
 
-from _helpers import (reference_divexact, reference_make, reference_mono_cmp,
-                      reference_mono_div, reference_ratexpr_derivative,
-                      reference_total_derivative)
+from _helpers import (random_poly_from, reference_add, reference_divexact,
+                      reference_make, reference_mono_cmp, reference_mono_div, reference_mul,
+                      reference_ratexpr_derivative, reference_total_derivative,
+                      transportable_jets)
 from jetcalc import diffalg
 from jetcalc.diffalg import (
     Cofactor, DiffAlgError, DiffPoly, JetVar, Monomial, RatExpr, SpaceMismatchError,
@@ -16,7 +17,9 @@ from jetcalc.diffalg import (
     is_zero, prolong, proportional, random_expr, substitute_jet, total_derivative,
 )
 from jetcalc.exprio import from_json, parse, print_text, to_json
-from jetcalc.hierarchies import ch_space, mr_space, q_space, r_space
+from jetcalc.hierarchies import ch_space, gen_qiao, mr_space, q_space, r_space
+from jetcalc.reduction import standard_systems
+from jetcalc.transform import build_map
 
 
 CH = ch_space(2)
@@ -435,3 +438,108 @@ def test_prolong_rejects_a_jet_that_does_not_dominate_the_base(jet):
     base = R.jet("X", T0=1)
     with pytest.raises(DiffAlgError, match=r"is not a prolongation of X_\{T0\}"):
         prolong({base: rx("X_{T0}")}, base, jet, _derivative)
+
+
+# -- the monomial test before a common-denominator trial division --------------
+
+def _guard_operands(space, rng, count):
+    """Seeded nonzero polynomials (a, b): numerators and denominators of
+    rational expressions, with negative and Fraction coefficients, and with a
+    constant term now and then."""
+    for _ in range(count):
+        a, b = (random_expr(space, rng, max_terms=4, rational=True),
+                random_expr(space, rng, max_terms=3, rational=True))
+        a, b = rng.choice((a.num, a.den)), rng.choice((b.num, b.den))
+        if rng.random() < 0.3:
+            a = a.add(DiffPoly.const(rng.choice([-2, 1, 3])))
+        if rng.random() < 0.3:
+            b = b.add(DiffPoly.const(Fraction(rng.choice([-1, 1]), 2)))
+        if not a.is_zero() and not b.is_zero():
+            yield a, b
+
+
+def test_the_monomial_test_rejects_only_divisions_that_fail():
+    rng = random.Random(1212)
+    rejected = 0
+    for space in SPACES:
+        for a, b in _guard_operands(space, rng, 80):
+            product = a.mul(b)
+            assert diffalg._may_divide(product, b)
+            blocked = product.add(b.mul(DiffPoly.from_jet(diffalg.random_jet(space, rng))))
+            for p in (product, blocked, a, product.add(DiffPoly.const(1))):
+                if p.is_zero() or diffalg._may_divide(p, b):
+                    continue
+                rejected += 1
+                assert p.divexact(b) is None
+    assert rejected > 100
+
+
+def test_the_monomial_test_raises_where_divexact_raises():
+    ch = chx("P_{X}*P + 1").num
+    r = rx("X_{T0}^2 - X_{T1}").num
+    with pytest.raises(SpaceMismatchError) as want:
+        ch.divexact(r)
+    with pytest.raises(SpaceMismatchError) as got:
+        diffalg._may_divide(ch, r)
+    assert str(got.value) == str(want.value)
+
+
+def _arithmetic(cases):
+    out = []
+    for a, b, jet in cases:
+        out += [a.add(b), b.add(a), a.mul(b), b.mul(a), a.div(b), substitute_jet(a, jet, b)]
+    return out
+
+
+def test_add_mul_div_and_substitution_match_the_unguarded_reference(monkeypatch):
+    rng = random.Random(1313)
+    cases = []
+    for space in SPACES:
+        for _ in range(50):
+            a, b, c = (random_expr(space, rng, rational=True) for _ in range(3))
+            # shared factors, so that both directions of add and both
+            # cancellations of mul find a divisor some of the time
+            for x, y in ((a, b), (a.mul(c), b.div(c)), (a.div(c), b.div(c.mul(a)))):
+                jets = list(x.jets())
+                if jets and not y.is_zero():
+                    cases.append((x, y, rng.choice(jets)))
+    assert len(cases) > 400
+    got = _arithmetic(cases)
+    monkeypatch.setattr(RatExpr, "add", reference_add)
+    monkeypatch.setattr(RatExpr, "mul", reference_mul)
+    want = _arithmetic(cases)
+    for g, w in zip(got, want):
+        _same_expr(g, w)
+
+
+def test_normal_forms_make_no_trial_division_the_monomial_test_rules_out(monkeypatch):
+    # C9's shape: C_MR images at n=3 reduced modulo CH.  Every common
+    # denominator that reduction tries must pass the leading and trailing
+    # monomial test; tried unguarded, 41 of these 53 trial divisions fail it.
+    m = build_map("C_MR", 3)
+    rng = random.Random(31)
+    exprs = [gen_qiao(3)[1].residual]
+    exprs += [random_poly_from(transportable_jets(m), rng, max_factors=1, max_exp=1)
+              for _ in range(6)]
+    system = standard_systems("CH", 3)
+    calls = []
+    divexact = DiffPoly.divexact
+
+    def recorded(num, den, step_limit=None):
+        calls.append((num, den))
+        return divexact(num, den, step_limit)
+
+    monkeypatch.setattr(DiffPoly, "divexact", recorded)
+    for e in exprs:
+        system.reduce(m.transport(e))
+    assert calls
+
+    def lead(p):
+        return max(p.terms, key=lambda mono: mono.key)
+
+    def trail(p):
+        return min(p.terms, key=lambda mono: mono.key)
+
+    ruled_out = [(n, d) for n, d in calls
+                 if not (lead(d).divides(lead(n)) and trail(d).divides(trail(n)))]
+    assert ruled_out == []

@@ -162,6 +162,19 @@ def test_step_cap_reported_as_nontermination():
         reduce(tiny, e)
 
 
+def test_step_cap_error_names_the_last_twelve_rewrites():
+    # P_{X^k,T} for k = 0..15: the cap of 14 stops after P_{X^15,T} .. P_{X^2,T}
+    def p_xt(k):
+        return "P_{" + ",".join(["X"] * k + ["T"]) + "}"
+
+    e = parse(" + ".join(p_xt(k) for k in range(16)), CH2)
+    with pytest.raises(StepCapError) as err:
+        standard_systems("CH", 2, step_cap=14).reduce(e)
+    assert err.value.trace == tuple(p_xt(k) for k in range(13, 1, -1))
+    assert str(err.value) == ("reduction exceeded 14 steps; last rewrites: "
+                              + ", ".join(err.value.trace))
+
+
 @pytest.mark.parametrize("cap,raises", [(1, True), (2, False)])
 def test_step_cap_bounds_the_substitutions(monkeypatch, cap, raises):
     # the C_MR image of E_Q1 reduces to zero modulo CH in exactly 2 rewrites
