@@ -50,7 +50,7 @@ def test_verify_report_bytes_are_pinned(tmp_path):
     report = tmp_path / "report.json"
     assert main(["verify", "--claim", "all", "--n-max", "4", "--jobs", "1",
                  "--report", str(report)]) == 0
-    assert hashlib.md5(report.read_bytes()).hexdigest() == "7d8bc79fa62830da09575022ab5beb4d"
+    assert hashlib.md5(report.read_bytes()).hexdigest() == "a62fc0cf8e710c64ece8801af7ff81aa"
 
 
 def test_gen_outputs_are_pinned(capsys):
