@@ -193,27 +193,38 @@ def _eliminate(expr, images, base, step_cap, what):
         trace.append(target)
 
 
-def _substituted_cbs(n, i, step_cap=reduction.DEFAULT_STEP_CAP):
+def _substituted_cbs(n, i, step_cap=reduction.DEFAULT_STEP_CAP, cbs=None):
     """cbs_i with every M jet replaced by the corresponding T-derivatives of
     the defining X-expressions (jets carrying a T0 derivative come from the
-    M_0 equation, bare M_j jets from the M_j one)."""
-    fam = hier.gen_cbs_family(n)
-    eq = next(e for e in fam.cbs if e.i == i)
+    M_0 equation, bare M_j jets from the M_j one).  cbs is cbs_i's residual,
+    generated when not given."""
+    if cbs is None:
+        cbs = hier.gen_cbs_family(n).cbs[i - 1].residual
     rsp = hier.r_space(n)
     base = rsp.jet("M", T0=1)
     images = {base: hier.m0_image(n)}
     for j in range(1, n):
         images[rsp.jet("M", **{f"T{j}": 1})] = hier.mi_image(n, j)
-    return _eliminate(eq.residual, images, base, step_cap, "M")
+    return _eliminate(cbs, images, base, step_cap, "M")
+
+
+def _bcbs_rules(n, step_cap):
+    """One single-rule system per i: rule i of the BCBS system, the one
+    that check i's reduction applies.  A single rule has no critical pairs,
+    so each system is coherent, and the numeric oracle reads the lower
+    rules' leads as free jets instead of cascading down the rules."""
+    system = reduction.standard_systems("BCBS", n, step_cap=step_cap)
+    return [reduction.RewriteSystem([rule], system.ranking, system.step_cap)
+            for rule in system.rules]
 
 
 def _c3(r, n):
     if n == 1:
         r.vacuous("no CBS equations at n=1")
         return
-    system = reduction.standard_systems("BCBS", n, step_cap=r.step_cap)
-    for i in range(1, n):
-        expr = _substituted_cbs(n, i, r.step_cap)
+    fam = hier.gen_cbs_family(n)
+    for i, system in enumerate(_bcbs_rules(n, r.step_cap), start=1):
+        expr = _substituted_cbs(n, i, r.step_cap, fam.cbs[i - 1].residual)
         r.zero_check(f"cbs_{i} modulo bcbs", expr, hier.r_space(n), system=system)
 
 
@@ -237,13 +248,13 @@ def _c4(r, n):
                              cross, fam.bmcbs[i - 1].residual)
 
 
-def _miura_substituted_bmcbs(n, i, step_cap=reduction.DEFAULT_STEP_CAP):
+def _miura_substituted_bmcbs(n, i, step_cap=reduction.DEFAULT_STEP_CAP, bmcbs=None):
     """bmcbs_i with x_{i+1} solved from the mixed relation and every
     T0-carrying x jet replaced by the prolonged height relation; more than
-    step_cap height substitutions raise StepCapError."""
+    step_cap height substitutions raise StepCapError.  bmcbs is bmcbs_i's
+    residual, generated when not given."""
     rsp = hier.r_space(n)
-    fam = hier.gen_mcbs_family(n)
-    expr = fam.bmcbs[i - 1].residual
+    expr = hier.gen_mcbs_family(n).bmcbs[i - 1].residual if bmcbs is None else bmcbs
     # solve the mixed relation for x_{i+1}:
     #   x_{i+1} = x0*x_{0i} - x_{00i} + x0*X_{i+1}/X0
     x0 = rsp.expr("x", T0=1)
@@ -259,9 +270,9 @@ def _c5(r, n):
     if n == 1:
         r.vacuous("no transformed middle equations at n=1")
         return
-    system = reduction.standard_systems("BCBS", n, step_cap=r.step_cap)
-    for i in range(1, n):
-        expr = _miura_substituted_bmcbs(n, i, r.step_cap)
+    fam = hier.gen_mcbs_family(n)
+    for i, system in enumerate(_bcbs_rules(n, r.step_cap), start=1):
+        expr = _miura_substituted_bmcbs(n, i, r.step_cap, fam.bmcbs[i - 1].residual)
         r.zero_check(f"bmcbs_{i} under the Miura substitutions", expr,
                      hier.r_space(n), system=system)
 

@@ -20,14 +20,15 @@ power x**e of an earlier slot's value.  The checked expressions become
 programs the same way.  So `RewriteSystem.match`, `prolonged_rhs` and every
 Fraction-to-float conversion run once per check.
 
-The checks of one claim cell share a walk per (test function, system,
-sampler stream): the points the stream draws, each with a dict of the jet
-values that the cell's checks have evaluated there.  A value is a function
-of the test function, the system, the point and the jet alone, so a plan
-run at a walk point reads the values it finds and records the ones it
-computes.  A led jet whose denominator falls below the floor is not
-recorded: every check that reads it recomputes it from the same recorded
-inputs, gets the same float, and rejects the point at the same slot.  A run
+The checks of one claim cell share a walk per (space, test-function seed,
+sampler stream): the points the stream draws, each with a dict of the
+free-jet values that the cell's checks have evaluated there.  A free jet's
+value is a function of the test function, the point and the jet alone, so a
+plan run at a walk point reads the free values it finds and records the ones
+it computes.  A led jet's value depends on the system as well, so a run
+always computes it from its rule and neither reads nor records it: checks on
+different systems share a walk, and a check whose system leads a jet that an
+earlier check's system left free still gets its own rule's value.  A run
 evaluates the test-function factors only when some free jet is missing,
 fills the slots in order, and appends every power that a program uses to a
 flat table of floats; the programs read their factors from that table.
@@ -272,32 +273,32 @@ class _Plan:
 
     def run(self, coords, known):
         """The table of powers of the slot values at coords.  known maps
-        jets already evaluated at coords to their values; the run reads
-        those and records the values it computes."""
+        free jets already evaluated at coords to their values; the run
+        reads those and records the free values it computes.  A led slot
+        is always computed from its rule and never touches known."""
         factors = None
         table = []
         for jet, (a, b), exps in zip(self.slot, self.steps, self.powers):
-            x = known.get(jet)
-            if x is None:
-                if a is None:
-                    raise MissingJetError(f"no value for jet {jet.text()}")
-                if b is None:
+            if b is None:
+                x = known.get(jet)
+                if x is None:
+                    if a is None:
+                        raise MissingJetError(f"no value for jet {jet.text()}")
                     if factors is None:
                         factors = [power * math.exp(rate * coords[var]) if phase is None
                                    else power * math.sin(rate * coords[var] + phase + shift)
                                    for var, rate, power, phase, shift in self.factors]
-                    x = reduce(add, _terms(a, factors), 0.0)
-                else:
-                    n, _, d = _quotient(a, b, table)
-                    x = n / d
-                known[jet] = x
+                    x = known[jet] = reduce(add, _terms(a, factors), 0.0)
+            else:
+                n, _, d = _quotient(a, b, table)
+                x = n / d
             for exp in exps:
                 table.append(x ** exp)
         return table
 
 
 class _Sample:
-    """A plan at one sample's coordinates and known jet values.  The plan
+    """A plan at one sample's coordinates and known free-jet values.  The plan
     runs on first use, inside eval_expr or relative_residual, so a point
     rejected for a led jet's denominator leaves through those public names
     like one rejected for the checked expression's own."""
@@ -318,7 +319,7 @@ class _Sample:
 
 class _Walk:
     """The points of one seeded sampler stream of a test function, drawn on
-    demand; each is (coords, {jet: value})."""
+    demand; each is (coords, {free jet: value})."""
 
     __slots__ = ("tf", "rng", "points")
 
@@ -335,9 +336,9 @@ class _Walk:
 
 class SampleWalks:
     """The sample walks of one claim cell: one per (space, test-function
-    seed, sampler stream, system), over one TestFunction per (space, seed).
-    Checks given the same SampleWalks share the jet values at the points of
-    their walk; drop it when the cell ends."""
+    seed, sampler stream), over one TestFunction per (space, seed).  Checks
+    given the same SampleWalks share the free-jet values at the points of
+    their walk, whatever their systems; drop it when the cell ends."""
 
     __slots__ = ("functions", "walks")
 
@@ -345,8 +346,8 @@ class SampleWalks:
         self.functions = {}
         self.walks = {}
 
-    def walk(self, space, seed, stream, system=None):
-        key = (space, seed, stream, system)
+    def walk(self, space, seed, stream):
+        key = (space, seed, stream)
         walk = self.walks.get(key)
         if walk is None:
             tf = self.functions.get((space, seed))
@@ -398,22 +399,25 @@ def consistent_point(system, jets, tf, coords):
 
     Free jets take the test function's values; a jet matching a (prolonged)
     rule is evaluated from the rule instead, after the jets of its right
-    side -- the ranking guarantees this bottoms out on free jets.
+    side -- the ranking guarantees this bottoms out on free jets.  The
+    point holds every jet the evaluation reached, read from one program per
+    jet, since a run records only the free ones.
     """
-    values = {}
-    _Plan(tf, system, [RatExpr.from_jet(j) for j in jets]).run(coords, values)
-    return JetPoint(values)
+    slots = _Plan(tf, system, [RatExpr.from_jet(j) for j in jets]).slot
+    plan = _Plan(tf, system, [RatExpr.from_jet(j) for j in slots])
+    sample = _Sample(plan, coords, {})
+    return JetPoint({jet: eval_expr(program, sample)
+                     for jet, program in zip(slots, plan.programs)})
 
 
 def confirm_zero(e, space, seed, points=100, system=None, walks=None):
     """Max relative residual of e over seeded sample points (on-shell when a
     system is given); callers compare the result against ZERO_TOL.  Checks
-    given the same SampleWalks share their points' jet values."""
+    given the same SampleWalks share their points' free-jet values."""
     e = RatExpr._coerce(e)
     if e.is_zero():
         return 0.0
-    walk = (SampleWalks() if walks is None else walks).walk(
-        space, seed, seed * 7919 + 13, system)
+    walk = (SampleWalks() if walks is None else walks).walk(space, seed, seed * 7919 + 13)
     plan = _Plan(walk.tf, system, (e,))
     lowered = plan.programs[0]
 
@@ -466,7 +470,7 @@ def sample_value(e, space, seed):
 def numeric_proportionality(a, b, cofactor, trials=100, seed=0, tol=ZERO_TOL,
                             walks=None):
     """True iff a evaluates to cofactor*b within tol at all sampled points.
-    Checks given the same SampleWalks share their points' jet values."""
+    Checks given the same SampleWalks share their points' free-jet values."""
     a = RatExpr._coerce(a)
     b = RatExpr._coerce(b)
     cof = cofactor.as_ratexpr()

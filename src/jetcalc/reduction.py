@@ -7,15 +7,23 @@ jet in the expression matches.  Prolongation goes through diffalg.prolong
 with one memo per rule lead.  The jet ranking is
 lexicographic on (evolution-variable derivative orders, remaining total
 order, field priority, multi-index); rules are validated so every rewrite
-strictly lowers the ranked jets present, which gives termination.  Confluence
-is not proven: the default strategy is deterministic (highest-ranked matching
-jet first), and shuffle mode reruns with a randomized pick to surface any
-order dependence.
+strictly lowers the ranked jets present, which gives termination.
+
+A system is coherent (`RewriteSystem.coherent`) when no jet dominates the
+leads of two of its rules: a single rule, or leads on distinct fields, as in
+the CH system.  Such a system has no critical pairs, so its normal forms do
+not depend on the order of the rewrites, and a non-zero normal form refutes
+a zero.  The claims reduce only modulo coherent systems: the CH system, and
+one BCBS rule per check.  The full BCBS system at n >= 3 has two or more X
+leads, and whether it is coherent is not decided.  The default strategy is
+deterministic (highest-ranked matching jet first), and shuffle mode reruns
+with a randomized pick to surface any order dependence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import hierarchies as hier
 from .diffalg import DiffAlgError, DiffPoly, JetVar, RatExpr, prolong, substitute_jet
@@ -128,6 +136,14 @@ class RewriteSystem:
                     raise RankingViolationError(
                         f"rule {rule.origin}: {jet.text()} >= lead {rule.lead.text()}")
             self._prolonged.setdefault(rule.lead, {rule.lead: rule.rhs})
+
+    @cached_property
+    def coherent(self):
+        """True for one rule or leads on distinct fields: then no jet
+        dominates two leads, and there are no critical pairs.  False means
+        not shown coherent."""
+        fields = [rule.lead.field for rule in self.rules]
+        return len(set(fields)) == len(fields)
 
     def match_all(self, jet):
         return [rule for rule in self.rules if jet.dominates(rule.lead)]

@@ -3,9 +3,11 @@
 import pytest
 
 from _helpers import reference_t0_first_image
+from jetcalc import claims, numoracle
 from jetcalc import hierarchies as hier
 from jetcalc.claims import CLAIM_IDS, _derivative, run_all, run_claim
 from jetcalc.diffalg import prolong
+from jetcalc.reduction import RewriteSystem
 
 
 def test_c1_passes_at_n3():
@@ -125,6 +127,57 @@ def test_prolonged_m_and_height_images_match_the_t0_first_loop(n):
             jet = rsp.jet("x", T0=a, **{f"T{j}": 1})
             assert (prolong(x_images, x_base, jet, _derivative)
                     == reference_t0_first_image(x_images[x_base], jet))
+
+
+def _paired_leads(n):
+    """{(claim, label): the leads of the rules the check needs}."""
+    x, xxx = "Omega[{}]_{{X,X}}", "Omega[{}]_{{X,X,X}}"
+    paired = {("C8", "d^2 x = 0 cross-derivative modulo CH"): {"P_{T}"},
+              ("C9", "E_Q0 modulo CH"): {"P_{T}"},
+              ("C9", f"D_x(E_Q{n}n) modulo CH"): {x.format(n)}}
+    for i in range(1, n):
+        bcbs = f"X_{{T0,T{i + 1}}}"
+        paired["C3", f"cbs_{i} modulo bcbs"] = {bcbs}
+        paired["C5", f"bmcbs_{i} under the Miura substitutions"] = {bcbs}
+        paired["C7", f"FIELDS_{i} first form modulo CH"] = {xxx.format(i)}
+        paired["C9", f"E_Q{i} modulo CH"] = {xxx.format(i)}
+    for i in range(1, n + 1):
+        paired["C9", f"E_Qw{i} modulo CH"] = set()
+    # the image of E_Q{n-1} carries Omega[n]_{X,X}, which cancels in the
+    # reduction but which the numeric confirmation evaluates on-shell
+    paired["C9", f"E_Q{n - 1} modulo CH"].add(x.format(n))
+    return paired
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_each_zero_check_applies_only_its_paired_rule(monkeypatch, n):
+    # the leads of the rules that a check's reduction and its numeric
+    # confirmation prolong, and the systems handed to confirm_zero
+    leads, systems, applied = [], [], {}
+    prolonged_rhs = RewriteSystem.prolonged_rhs
+    zero_check = claims._Runner.zero_check
+    confirm_zero = numoracle.confirm_zero
+
+    def recorded_rhs(self, rule, jet):
+        leads.append(rule.lead.text())
+        return prolonged_rhs(self, rule, jet)
+
+    def recorded_check(self, label, *args, **kwargs):
+        leads.clear()
+        zero_check(self, label, *args, **kwargs)
+        applied[self.claim, label] = set(leads)
+
+    def recorded_confirm(*args, **kwargs):
+        systems.append(kwargs["system"])
+        return confirm_zero(*args, **kwargs)
+
+    monkeypatch.setattr(RewriteSystem, "prolonged_rhs", recorded_rhs)
+    monkeypatch.setattr(claims._Runner, "zero_check", recorded_check)
+    monkeypatch.setattr(numoracle, "confirm_zero", recorded_confirm)
+    for claim in ("C3", "C5", "C7", "C8", "C9"):
+        assert run_claim(claim, n).status == "pass"
+    assert applied == _paired_leads(n)
+    assert systems and all(s is None or s.coherent for s in systems)
 
 
 def test_claim_ids_complete():

@@ -342,3 +342,25 @@ def test_a_led_jets_rejection_rejects_only_the_checks_that_read_it():
     assert results[0] != results[1]
     assert results[1] == relative_residual(
         skips, consistent_point(None, skips.jets(), TestFunction(R2, seed), coords))
+
+
+def test_a_jet_free_in_one_system_is_computed_from_the_rule_of_a_system_that_leads_it():
+    # B leaves X_{T0,T1} free, so its checks record the test function's
+    # value of that jet at the walk's points; A leads it, and on the same
+    # walk A's check must still compute it from A's rule
+    seed = 7
+    lead = R2.jet("X", T0=1, T1=1)
+    rhs = R2.expr("X", T0=1) * R2.expr("X", T1=1)
+    a = RewriteSystem([RewriteRule(lead, rhs, "synthetic")], JetRanking(R2))
+    squared = R2.expr("X", T0=1) * R2.expr("X", T0=1)
+    b = RewriteSystem([RewriteRule(R2.jet("X", T0=2), squared, "synthetic")], JetRanking(R2))
+    e = R2.expr("X", T0=1, T1=1) - rhs
+    walks = SampleWalks()
+    off_shell = confirm_zero(e + R2.expr("X", T0=2) - squared, R2, seed,
+                             points=20, system=b, walks=walks)
+    (walk,) = walks.walks.values()
+    assert lead in walk.points[0][1]
+    on_shell = confirm_zero(e, R2, seed, points=20, system=a, walks=walks)
+    assert len(walks.walks) == 1
+    assert on_shell == reference_confirm_zero(e, R2, seed, points=20, system=a)
+    assert on_shell <= ZERO_TOL < off_shell
