@@ -74,12 +74,11 @@ class _Runner:
     """Collects check results and the shared numeric bookkeeping for one cell:
     its checks sample through one SampleWalks, which ends with the cell."""
 
-    def __init__(self, claim, n, seed, step_cap, zero_tol):
+    def __init__(self, claim, n, seed, step_cap):
         self.claim = claim
         self.n = n
         self.seed = (numoracle.hash_stable(claim) * 131071 + n * 8191 + seed) & 0x3FFFFFFF
         self.step_cap = step_cap
-        self.zero_tol = zero_tol
         self.checks = []
         self.cofactor = None
         self.terms = 0
@@ -88,39 +87,30 @@ class _Runner:
     def add(self, label, ok, note=""):
         self.checks.append(CheckResult(label, "pass" if ok else "fail", note))
 
-    def vacuous(self, why):
-        self.checks.append(CheckResult("vacuous", "pass", why))
-
-    def zero_check(self, label, expr, space, system=None, note=""):
+    def zero_check(self, label, expr, space, system=None):
         """Symbolic zero plus the 100-point numeric confirmation."""
         reduced = expr if system is None else system.reduce(expr)
-        ok = reduced.is_zero()
         self.terms += len(reduced.num.terms)
-        detail = note
-        if ok:
-            worst = numoracle.confirm_zero(expr, space, self.seed, points=100,
-                                           system=system, walks=self.walks)
-            if worst > self.zero_tol:
-                self.checks.append(CheckResult(
-                    label, "fail",
-                    f"numeric residual {worst:.2e} above {self.zero_tol:.0e}"))
-                return
-            shown = f"{_NOTE_FLOOR:g}" if worst <= _NOTE_FLOOR else f"{worst:.1e}"
-            detail = (detail + "; " if detail else "") + f"numeric<={shown}"
-        self.checks.append(CheckResult(label, "pass" if ok else "fail", detail))
+        if not reduced.is_zero():
+            self.add(label, False)
+            return
+        worst = numoracle.confirm_zero(expr, space, self.seed, points=100,
+                                       system=system, walks=self.walks)
+        if worst > ZERO_TOL:
+            self.add(label, False, f"numeric residual {worst:.2e} above {ZERO_TOL:.0e}")
+            return
+        shown = f"{_NOTE_FLOOR:g}" if worst <= _NOTE_FLOOR else f"{worst:.1e}"
+        self.add(label, True, f"numeric<={shown}")
 
     def proportional_check(self, label, lhs, rhs):
         cof = proportional(lhs, rhs)
         if cof is None:
-            self.checks.append(CheckResult(label, "fail", "not proportional"))
+            self.add(label, False, "not proportional")
             return None
         ok = numoracle.numeric_proportionality(lhs, rhs, cof, trials=100,
-                                               seed=self.seed, tol=self.zero_tol,
-                                               walks=self.walks)
+                                               seed=self.seed, walks=self.walks)
         note = f"cofactor {cof.text()}"
-        if not ok:
-            note += "; numeric spot check failed"
-        self.checks.append(CheckResult(label, "pass" if ok else "fail", note))
+        self.add(label, ok, note if ok else note + "; numeric spot check failed")
         self.terms += len(lhs.num.terms)
         return cof
 
@@ -128,7 +118,7 @@ class _Runner:
         """proportional_check over the middle equations' (label, lhs, rhs);
         one cofactor must serve every i, and it becomes the cell's cofactor."""
         if self.n == 1:
-            self.vacuous("no middle equations at n=1")
+            self.add("vacuous", True, "no middle equations at n=1")
         cofs = []
         for label, lhs, rhs in checks:
             cof = self.proportional_check(label, lhs, rhs)
@@ -140,16 +130,11 @@ class _Runner:
 
 
 def _rep(runner, t0):
-    status = "pass"
-    for c in runner.checks:
-        if c.status == "error":
-            status = "error"
-            break
-        if c.status == "fail":
-            status = "fail"
+    statuses = {c.status for c in runner.checks}
+    status = next((s for s in ("error", "fail") if s in statuses), "pass")
     return VerificationReport(
         claim=runner.claim, n=runner.n, status=status, cofactor=runner.cofactor,
-        terms=max(runner.terms, 0), duration=time.perf_counter() - t0,
+        terms=runner.terms, duration=time.perf_counter() - t0,
         checks=tuple(runner.checks))
 
 
@@ -167,9 +152,8 @@ def _c2(r, n):
     r.uniform_cofactor((f"E_CH{i} ~ bcbs_{i}", m.transport(eqs[i].residual),
                         fam.bcbs[i - 1].residual) for i in range(1, n))
     closing = m.transport(eqs[n].residual)
-    r.checks.append(CheckResult(
-        "E_CHn image (reported, not judged)", "pass",
-        f"{closing.term_count()} terms: {exprio.print_text(closing)}"))
+    r.add("E_CHn image (reported, not judged)", True,
+          f"{closing.term_count()} terms: {exprio.print_text(closing)}")
 
 
 def _derivative(jet, lower_image, var):
@@ -208,24 +192,25 @@ def _substituted_cbs(n, i, step_cap=reduction.DEFAULT_STEP_CAP, cbs=None):
     return _eliminate(cbs, images, base, step_cap, "M")
 
 
-def _bcbs_rules(n, step_cap):
-    """One single-rule system per i: rule i of the BCBS system, the one
-    that check i's reduction applies.  A single rule has no critical pairs,
-    so each system is coherent, and the numeric oracle reads the lower
-    rules' leads as free jets instead of cascading down the rules."""
-    system = reduction.standard_systems("BCBS", n, step_cap=step_cap)
-    return [reduction.RewriteSystem([rule], system.ranking, system.step_cap)
-            for rule in system.rules]
+def _modulo_each_bcbs_rule(r, n, label, why, substitute, family):
+    """One zero_check per i = 1..n-1 of substitute(n, i, step_cap, residual)
+    for family[i - 1], modulo rule i of the BCBS system alone: the one rule
+    its reduction applies.  A single rule has no critical pairs, so each
+    system is coherent, and the numeric oracle reads the lower rules' leads
+    as free jets instead of cascading down them."""
+    if n == 1:
+        r.add("vacuous", True, why)
+        return
+    system = reduction.standard_systems("BCBS", n, step_cap=r.step_cap)
+    for i, rule in enumerate(system.rules, start=1):
+        one_rule = reduction.RewriteSystem([rule], system.ranking, system.step_cap)
+        expr = substitute(n, i, r.step_cap, family[i - 1].residual)
+        r.zero_check(label.format(i), expr, hier.r_space(n), system=one_rule)
 
 
 def _c3(r, n):
-    if n == 1:
-        r.vacuous("no CBS equations at n=1")
-        return
-    fam = hier.gen_cbs_family(n)
-    for i, system in enumerate(_bcbs_rules(n, r.step_cap), start=1):
-        expr = _substituted_cbs(n, i, r.step_cap, fam.cbs[i - 1].residual)
-        r.zero_check(f"cbs_{i} modulo bcbs", expr, hier.r_space(n), system=system)
+    _modulo_each_bcbs_rule(r, n, "cbs_{} modulo bcbs", "no CBS equations at n=1",
+                           _substituted_cbs, hier.gen_cbs_family(n).cbs)
 
 
 def _c4(r, n):
@@ -238,9 +223,8 @@ def _c4(r, n):
     r.uniform_cofactor((f"E_Q{i} ~ bmcbs_{i}", m.transport(qeqs[f"E_Q{i}"].residual),
                         fam.bmcbs[i - 1].residual) for i in range(1, n))
     closing = m.transport(qeqs[f"E_Q{n}n"].residual.total_derivative("x"))
-    r.checks.append(CheckResult(
-        "D_x(E_Qn) image (reported, not judged)", "pass",
-        f"{closing.term_count()} terms: {exprio.print_text(closing)}"))
+    r.add("D_x(E_Qn) image (reported, not judged)", True,
+          f"{closing.term_count()} terms: {exprio.print_text(closing)}")
     for i in range(1, n):
         cross = (total_derivative(hier.m0_q_image(n), f"T{i}")
                  - total_derivative(hier.mi_q_image(n, i), "T0"))
@@ -267,14 +251,9 @@ def _miura_substituted_bmcbs(n, i, step_cap=reduction.DEFAULT_STEP_CAP, bmcbs=No
 
 
 def _c5(r, n):
-    if n == 1:
-        r.vacuous("no transformed middle equations at n=1")
-        return
-    fam = hier.gen_mcbs_family(n)
-    for i, system in enumerate(_bcbs_rules(n, r.step_cap), start=1):
-        expr = _miura_substituted_bmcbs(n, i, r.step_cap, fam.bmcbs[i - 1].residual)
-        r.zero_check(f"bmcbs_{i} under the Miura substitutions", expr,
-                     hier.r_space(n), system=system)
+    _modulo_each_bcbs_rule(r, n, "bmcbs_{} under the Miura substitutions",
+                           "no transformed middle equations at n=1",
+                           _miura_substituted_bmcbs, hier.gen_mcbs_family(n).bmcbs)
 
 
 def _c6(r, n):
@@ -290,7 +269,7 @@ def _c6(r, n):
 
 def _c7(r, n):
     if n == 1:
-        r.vacuous("field relations range over i=1..n-1")
+        r.add("vacuous", True, "field relations range over i=1..n-1")
         return
     m = transform.miura_mix_map(n)
     system = reduction.standard_systems("CH", n, step_cap=r.step_cap)
@@ -342,13 +321,13 @@ _CLAIM_FNS = {
 
 
 def run_claim(claim, n, seed=0, step_cap=reduction.DEFAULT_STEP_CAP,
-              term_cap=diffalg.DEFAULT_TERM_CAP, zero_tol=ZERO_TOL):
+              term_cap=diffalg.DEFAULT_TERM_CAP):
     """Run one claim at one hierarchy size; engine errors become status error."""
     if claim not in _CLAIM_FNS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIM_IDS}")
     hier._check_n(n)
     t0 = time.perf_counter()
-    runner = _Runner(claim, n, seed, step_cap, zero_tol)
+    runner = _Runner(claim, n, seed, step_cap)
     with diffalg.term_cap(term_cap):
         try:
             _CLAIM_FNS[claim](runner, n)
@@ -362,8 +341,7 @@ def _cell(args):
 
 
 def run_all(n_max, claims=None, seed=0, jobs=1,
-            step_cap=reduction.DEFAULT_STEP_CAP, term_cap=diffalg.DEFAULT_TERM_CAP,
-            zero_tol=ZERO_TOL):
+            step_cap=reduction.DEFAULT_STEP_CAP, term_cap=diffalg.DEFAULT_TERM_CAP):
     """Run the selected claims for n = 1..n_max; cells may run in parallel and
     are merged deterministically by (claim, n)."""
     if n_max < 1:
@@ -372,7 +350,7 @@ def run_all(n_max, claims=None, seed=0, jobs=1,
     for c in selected:
         if c not in _CLAIM_FNS:
             raise ValueError(f"unknown claim {c!r}")
-    cells = [(c, n, seed, step_cap, term_cap, zero_tol)
+    cells = [(c, n, seed, step_cap, term_cap)
              for c in selected for n in range(1, n_max + 1)]
     if jobs and jobs > 1:
         # imported here: serial runs and `import jetcalc.cli` do not pay for it

@@ -87,7 +87,7 @@ def cmd_verify(args):
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     reports = claims.run_all(
         args.n_max, claims=selected, seed=args.seed, jobs=jobs,
-        step_cap=args.step_cap, term_cap=args.term_cap, zero_tol=args.zero_tol)
+        step_cap=args.step_cap, term_cap=args.term_cap)
     records = [rep.record(include_millis=args.timings) for rep in reports]
     text = json.dumps(records, indent=2, sort_keys=True) + "\n"
 
@@ -175,8 +175,6 @@ def build_parser():
                         help=f"expression-size guard (default {diffalg.DEFAULT_TERM_CAP})")
     verify.add_argument("--step-cap", type=int, default=reduction.DEFAULT_STEP_CAP,
                         help="rewrite step guard per reduction")
-    verify.add_argument("--zero-tol", type=float, default=numoracle.ZERO_TOL,
-                        help="relative tolerance for numeric zero confirmation")
     verify.add_argument("--timings", action="store_true",
                         help="include wall-clock millis in the report file")
     verify.set_defaults(func=cmd_verify)

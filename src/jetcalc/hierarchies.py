@@ -253,8 +253,7 @@ def gen_miura_relations(n):
     eqs.append(Equation(miura, "MIURA", "MIURA", None, n))
     x0 = rsp.expr("x", T0=1)
     bigx0 = rsp.expr("X", T0=1)
-    heights_r = x0 - rsp.expr("X", T0=2) / bigx0 - bigx0
-    eqs.append(Equation(heights_r, "HEIGHTS_R", "XREL", None, n))
+    eqs.append(Equation(x0 - _r_big_s(n), "HEIGHTS_R", "XREL", None, n))
     for i in range(1, n):
         mix = (rsp.expr("X", **{f"T{i + 1}": 1}) / bigx0
                + rsp.expr("x", T0=1, **{f"T{i}": 1})

@@ -34,8 +34,8 @@ fills the slots in order, and appends every power that a program uses to a
 flat table of floats; the programs read their factors from that table.
 Evaluation at an explicit JetPoint runs a plan without a test function or a
 system, whose free jets are read from the point's values and never written.
-`SampleWalks` holds a cell's walks over one TestFunction per (space, seed);
-the claim runner creates one per cell, and confirm_zero and
+`SampleWalks` holds a cell's walks, one per (space, seed, stream); the
+claim runner creates one per cell, and confirm_zero and
 numeric_proportionality build a private one when given none.
 
 The float operations are those of evaluating each expression directly, in
@@ -336,24 +336,21 @@ class _Walk:
 
 class SampleWalks:
     """The sample walks of one claim cell: one per (space, test-function
-    seed, sampler stream), over one TestFunction per (space, seed).  Checks
-    given the same SampleWalks share the free-jet values at the points of
-    their walk, whatever their systems; drop it when the cell ends."""
+    seed, sampler stream), each over its own TestFunction(space, seed),
+    whose values depend on (space, seed) alone.  Checks given the same
+    SampleWalks share the free-jet values at the points of their walk,
+    whatever their systems; drop it when the cell ends."""
 
-    __slots__ = ("functions", "walks")
+    __slots__ = ("walks",)
 
     def __init__(self):
-        self.functions = {}
         self.walks = {}
 
     def walk(self, space, seed, stream):
         key = (space, seed, stream)
         walk = self.walks.get(key)
         if walk is None:
-            tf = self.functions.get((space, seed))
-            if tf is None:
-                tf = self.functions[space, seed] = TestFunction(space, seed)
-            walk = self.walks[key] = _Walk(tf, stream)
+            walk = self.walks[key] = _Walk(TestFunction(space, seed), stream)
         return walk
 
 
@@ -467,9 +464,8 @@ def sample_value(e, space, seed):
         coords, eval_expr(lowered, _Sample(plan, coords, known)))))
 
 
-def numeric_proportionality(a, b, cofactor, trials=100, seed=0, tol=ZERO_TOL,
-                            walks=None):
-    """True iff a evaluates to cofactor*b within tol at all sampled points.
+def numeric_proportionality(a, b, cofactor, trials=100, seed=0, walks=None):
+    """True iff a evaluates to cofactor*b within ZERO_TOL at all sampled points.
     Checks given the same SampleWalks share their points' free-jet values."""
     a = RatExpr._coerce(a)
     b = RatExpr._coerce(b)
@@ -486,5 +482,5 @@ def numeric_proportionality(a, b, cofactor, trials=100, seed=0, tol=ZERO_TOL,
         return eval_expr(la, p), eval_expr(lcof, p) * eval_expr(lb, p)
 
     samples = _samples(walk, 40 * trials, values)
-    return not any(abs(va - vb) > tol * max(1.0, abs(va), abs(vb))
+    return not any(abs(va - vb) > ZERO_TOL * max(1.0, abs(va), abs(vb))
                    for va, vb in islice(samples, trials))

@@ -5,9 +5,9 @@ import pytest
 from _helpers import reference_t0_first_image
 from jetcalc import claims, numoracle
 from jetcalc import hierarchies as hier
-from jetcalc.claims import CLAIM_IDS, _derivative, run_all, run_claim
-from jetcalc.diffalg import prolong
-from jetcalc.reduction import RewriteSystem
+from jetcalc.claims import CLAIM_IDS, CheckResult, _derivative, run_all, run_claim
+from jetcalc.diffalg import RatExpr, prolong
+from jetcalc.reduction import DEFAULT_STEP_CAP, RewriteSystem
 
 
 def test_c1_passes_at_n3():
@@ -89,6 +89,66 @@ def test_step_cap_error_is_reported():
     rep = run_claim("C9", 2, step_cap=1)
     assert rep.status == "error"
     assert any("StepCapError" in c.note for c in rep.checks if c.status == "error")
+
+
+R2 = hier.r_space(2)
+X0 = R2.expr("X", T0=1)
+
+
+def _runner():
+    return claims._Runner("C1", 2, 0, DEFAULT_STEP_CAP)
+
+
+def test_a_nonzero_reduction_fails_with_no_note():
+    r = _runner()
+    r.zero_check("nonzero", X0 + 1, R2)
+    assert r.checks == [CheckResult("nonzero", "fail", "")]
+    assert r.terms == 2
+
+
+def test_a_numeric_residual_above_the_tolerance_fails(monkeypatch):
+    monkeypatch.setattr(numoracle, "confirm_zero", lambda *args, **kwargs: 1e-3)
+    r = _runner()
+    r.zero_check("zero", RatExpr.const(0), R2)
+    assert r.checks == [CheckResult("zero", "fail", "numeric residual 1.00e-03 above 1e-09")]
+    rep = run_claim("C8", 2)
+    assert rep.status == "fail"
+    assert rep.details() == ["d^2 x = 0 cross-derivative modulo CH: fail "
+                             "(numeric residual 1.00e-03 above 1e-09)"]
+
+
+def test_a_residual_at_the_tolerance_passes(monkeypatch):
+    monkeypatch.setattr(numoracle, "confirm_zero", lambda *args, **kwargs: 1e-9)
+    r = _runner()
+    r.zero_check("zero", RatExpr.const(0), R2)
+    assert r.checks == [CheckResult("zero", "pass", "numeric<=1.0e-09")]
+
+
+def test_inputs_that_are_not_proportional_fail():
+    r = _runner()
+    assert r.proportional_check("ratio", X0 + 1, X0) is None
+    assert r.checks == [CheckResult("ratio", "fail", "not proportional")]
+    assert r.terms == 0
+
+
+def test_a_failed_numeric_spot_check_fails_with_the_cofactor(monkeypatch):
+    monkeypatch.setattr(numoracle, "numeric_proportionality", lambda *args, **kwargs: False)
+    r = _runner()
+    assert r.proportional_check("ratio", 2 * X0, X0).text() == "2"
+    assert r.checks == [CheckResult("ratio", "fail", "cofactor 2; numeric spot check failed")]
+    rep = run_claim("C6", 2)
+    assert rep.status == "fail"
+    assert rep.details() == ["heights residual ~ P^2 - u(P - P_X): fail "
+                             f"(cofactor {rep.cofactor}; numeric spot check failed)"]
+
+
+@pytest.mark.parametrize("statuses,status", [
+    ((), "pass"), (("pass", "pass"), "pass"), (("pass", "fail", "pass"), "fail"),
+    (("fail", "error", "pass"), "error"), (("error", "fail"), "error")])
+def test_cell_status_is_error_over_fail_over_pass(statuses, status):
+    r = _runner()
+    r.checks = [CheckResult(f"check {k}", s) for k, s in enumerate(statuses)]
+    assert claims._rep(r, 0.0).status == status
 
 
 def test_height_substitution_honours_the_step_cap():

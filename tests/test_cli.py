@@ -68,6 +68,10 @@ def test_verify_unknown_claim(capsys):
     assert main(["verify", "--claim", "C42"]) == 2
     assert main(["verify", "--claim", "C1", "--n-max", "1", "--jobs", "1",
                  "--term-cap", "0"]) == 2
+    # the numeric zero tolerance is fixed, not a flag
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--claim", "C1", "--n-max", "1", "--jobs", "1", "--zero-tol", "1e-9"])
+    assert exc.value.code == 2
 
 
 def test_verify_headline_at_n1(capsys):

@@ -280,7 +280,7 @@ def test_numeric_proportionality_is_bit_identical_to_the_reference():
 def _run_cell(monkeypatch, claim, n, check):
     """Run a claim cell through the real runner and record each call of the
     numoracle check it makes, with its arguments and result."""
-    runner = claims._Runner(claim, n, 0, DEFAULT_STEP_CAP, ZERO_TOL)
+    runner = claims._Runner(claim, n, 0, DEFAULT_STEP_CAP)
     original = getattr(numoracle, check)
     calls = []
 
