@@ -225,11 +225,6 @@ def _c4(r, n):
     closing = m.transport(qeqs[f"E_Q{n}n"].residual.total_derivative("x"))
     r.add("D_x(E_Qn) image (reported, not judged)", True,
           f"{closing.term_count()} terms: {exprio.print_text(closing)}")
-    for i in range(1, n):
-        cross = (total_derivative(hier.m0_q_image(n), f"T{i}")
-                 - total_derivative(hier.mi_q_image(n, i), "T0"))
-        r.proportional_check(f"m-system cross-derivative ~ bmcbs_{i}",
-                             cross, fam.bmcbs[i - 1].residual)
 
 
 def _miura_substituted_bmcbs(n, i, step_cap=reduction.DEFAULT_STEP_CAP, bmcbs=None):

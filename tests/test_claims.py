@@ -28,9 +28,9 @@ def test_c4_cofactor_and_cross_derivative():
     rep = run_claim("C4", 3)
     assert rep.status == "pass"
     assert rep.cofactor == "x_{T0}^-1"
-    cross = [c for c in rep.checks if c.label.startswith("m-system cross")]
-    assert len(cross) == 2
-    assert all("cofactor -1" in c.note for c in cross)
+    # bmcbs_i is defined as minus the m-system cross-derivative, so a check
+    # of the one against the other would hold by construction
+    assert not any(c.label.startswith("m-system cross") for c in rep.checks)
 
 
 def test_c9_headline_at_n1():
