@@ -89,7 +89,7 @@ class _Runner:
 
     def zero_check(self, label, expr, space, system=None):
         """Symbolic zero plus the 100-point numeric confirmation."""
-        reduced = expr if system is None else system.reduce(expr)
+        reduced = expr if system is None else system.reduce(expr, step_cap=self.step_cap)
         self.terms += len(reduced.num.terms)
         if not reduced.is_zero():
             self.add(label, False)
@@ -164,17 +164,12 @@ def _eliminate(expr, images, base, step_cap, what):
     """expr with every jet of base's field replaced by its image from images,
     prolonged from base where images lacks it; more than step_cap
     substitutions raise StepCapError."""
-    trace = []
-    while True:
-        target = next((jet for jet in expr.jets() if jet.field is base.field), None)
-        if target is None:
-            return expr
-        if len(trace) == step_cap:
-            raise reduction.StepCapError(
-                f"{what} substitution exceeded {step_cap} steps", trace[-12:])
-        image = diffalg.prolong(images, base, target, _derivative)
-        expr = substitute_jet(expr, target, image)
-        trace.append(target)
+    def pick(e):
+        return next(((jet, None) for jet in e.jets() if jet.field is base.field), None)
+
+    return reduction.rewrite(expr, pick,
+                             lambda _, jet: diffalg.prolong(images, base, jet, _derivative),
+                             step_cap, f"{what} substitution")
 
 
 def _substituted_cbs(n, i, step_cap=reduction.DEFAULT_STEP_CAP, cbs=None):
@@ -201,9 +196,9 @@ def _modulo_each_bcbs_rule(r, n, label, why, substitute, family):
     if n == 1:
         r.add("vacuous", True, why)
         return
-    system = reduction.standard_systems("BCBS", n, step_cap=r.step_cap)
+    system = reduction.standard_systems("BCBS", n)
     for i, rule in enumerate(system.rules, start=1):
-        one_rule = reduction.RewriteSystem([rule], system.ranking, system.step_cap)
+        one_rule = reduction.RewriteSystem([rule], system.ranking)
         expr = substitute(n, i, r.step_cap, family[i - 1].residual)
         r.zero_check(label.format(i), expr, hier.r_space(n), system=one_rule)
 
@@ -267,7 +262,7 @@ def _c7(r, n):
         r.add("vacuous", True, "field relations range over i=1..n-1")
         return
     m = transform.miura_mix_map(n)
-    system = reduction.standard_systems("CH", n, step_cap=r.step_cap)
+    system = reduction.standard_systems("CH", n)
     msp = hier.mr_space(n)
     rels = {e.label: e for e in hier.gen_miura_relations(n)}
     u = msp.expr("u")
@@ -285,7 +280,7 @@ def _c7(r, n):
 
 def _c8(r, n):
     chs = hier.ch_space(n)
-    system = reduction.standard_systems("CH", n, step_cap=r.step_cap)
+    system = reduction.standard_systems("CH", n)
     p = chs.expr("P")
     w1 = chs.expr("Omega", 1)
     w_img = Fraction(1, 2) * (chs.expr("Omega", 1, X=1) + w1)
@@ -297,7 +292,7 @@ def _c8(r, n):
 
 def _c9(r, n):
     m = transform.build_map("C_MR", n)
-    system = reduction.standard_systems("CH", n, step_cap=r.step_cap)
+    system = reduction.standard_systems("CH", n)
     chs = hier.ch_space(n)
     for eq in hier.gen_qiao(n):
         resid = eq.residual

@@ -124,14 +124,14 @@ def cmd_verify(args):
 def cmd_reduce(args):
     which = args.system.upper()
     space = hier.ch_space(args.n) if which == "CH" else hier.r_space(args.n)
-    system = reduction.standard_systems(which, args.n, step_cap=args.step_cap)
+    system = reduction.standard_systems(which, args.n)
     source = args.expr if args.expr is not None else sys.stdin.read()
     try:
         expr = exprio.parse(source, space)
     except exprio.ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    result = system.reduce(expr)
+    result = system.reduce(expr, step_cap=args.step_cap)
     print(exprio.print_expr(result, args.format))
     return EXIT_PASS
 

@@ -48,13 +48,30 @@ class RankingViolationError(ReductionError):
 
 
 class StepCapError(ReductionError):
-    """Reduction exceeded the step cap; reported as non-termination.
+    """A rewrite loop exceeded its step cap; reported as non-termination.
 
     It is built from the last substituted jets; .trace holds their text."""
 
     def __init__(self, message, trace):
         self.trace = tuple(jet.text() for jet in trace)
         super().__init__(message + "; last rewrites: " + ", ".join(self.trace))
+
+
+def rewrite(e, pick, image, step_cap, what):
+    """Substitute jets into e until pick(e), which gives (jet, how) or None,
+    finds none; each jet is replaced by image(how, jet).  The cap is checked
+    before the image is built: more than step_cap substitutions raise
+    StepCapError "{what} exceeded {step_cap} steps"."""
+    trace = []
+    while True:
+        picked = pick(e)
+        if picked is None:
+            return e
+        jet, how = picked
+        if len(trace) == step_cap:
+            raise StepCapError(f"{what} exceeded {step_cap} steps", trace[-12:])
+        e = substitute_jet(e, jet, image(how, jet))
+        trace.append(jet)
 
 
 class JetRanking:
@@ -122,12 +139,11 @@ def orient(eq, lead):
 
 
 class RewriteSystem:
-    """Oriented rules with on-demand prolongation and a step cap."""
+    """Oriented rules and their ranking, with on-demand prolongation."""
 
-    def __init__(self, rules, ranking, step_cap=DEFAULT_STEP_CAP):
+    def __init__(self, rules, ranking):
         self.rules = tuple(rules)
         self.ranking = ranking
-        self.step_cap = step_cap
         # one memo per rule lead: {jet: rhs prolonged to jet}
         self._prolonged = {}
         for rule in self.rules:
@@ -171,42 +187,30 @@ class RewriteSystem:
                     f"prolonged rule for {jet.text()} contains {j.text()}")
         return rhs
 
-    def reduce(self, e, rng=None):
+    def reduce(self, e, rng=None, step_cap=DEFAULT_STEP_CAP):
         """Rewrite to normal form: no jet of the result matches any rule.
 
         Deterministic strategy: replace all occurrences of the highest-ranked
         matching jet, repeat.  With rng given (shuffle mode), the jet and the
-        rule applied to it are chosen at random instead.
+        rule applied to it are chosen at random instead.  More than step_cap
+        rewrites raise StepCapError.
         """
-        e = RatExpr._coerce(e)
-        trace = []
-        while True:
-            if rng is None:
-                jet = None
-                for j in e.jets():
-                    rule_j = self.match(j)
-                    if rule_j is not None and (jet is None or self.ranking.higher(j, jet)):
-                        jet, rule = j, rule_j
-                if jet is None:
-                    return e
-            else:
-                candidates = [(j, r) for j in e.jets() for r in self.match_all(j)]
-                if not candidates:
-                    return e
-                jet, rule = candidates[rng.randrange(len(candidates))]
-            if len(trace) == self.step_cap:
-                raise StepCapError(
-                    f"reduction exceeded {self.step_cap} steps", trace[-12:])
-            rhs = self.prolonged_rhs(rule, jet)
-            e = substitute_jet(e, jet, rhs)
-            trace.append(jet)
+        if rng is None:
+            def pick(e):
+                matches = [(j, r) for j in e.jets() if (r := self.match(j)) is not None]
+                return max(matches, key=lambda m: self.ranking.key(m[0]), default=None)
+        else:
+            def pick(e):
+                matches = [(j, r) for j in e.jets() for r in self.match_all(j)]
+                return matches[rng.randrange(len(matches))] if matches else None
+        return rewrite(RatExpr._coerce(e), pick, self.prolonged_rhs, step_cap, "reduction")
 
 
 def reduce(sys, e, rng=None):
     return sys.reduce(e, rng=rng)
 
 
-def ch_system(n, step_cap=DEFAULT_STEP_CAP):
+def ch_system(n):
     """Rules P_T -> ..., Omega^(i)_XXX -> ..., Omega^(n)_XX -> ... ."""
     eqs = hier.gen_ch(n)
     space = hier.ch_space(n)
@@ -214,10 +218,10 @@ def ch_system(n, step_cap=DEFAULT_STEP_CAP):
     for i in range(1, n):
         rules.append(orient(eqs[i], space.jet("Omega", i, X=3)))
     rules.append(orient(eqs[n], space.jet("Omega", n, X=2)))
-    return RewriteSystem(rules, JetRanking(space), step_cap)
+    return RewriteSystem(rules, JetRanking(space))
 
 
-def bcbs_system(n, step_cap=DEFAULT_STEP_CAP):
+def bcbs_system(n):
     """Rules X_{T0,T(i+1)} solved from the transformed CH equations."""
     if n < 2:
         raise ValueError("the transformed system needs n >= 2")
@@ -227,14 +231,14 @@ def bcbs_system(n, step_cap=DEFAULT_STEP_CAP):
     for i, eq in enumerate(fam.bcbs, start=1):
         lead = space.jet("X", T0=1, **{f"T{i + 1}": 1})
         rules.append(orient(eq, lead))
-    return RewriteSystem(rules, JetRanking(space), step_cap)
+    return RewriteSystem(rules, JetRanking(space))
 
 
-def standard_systems(which, n, step_cap=DEFAULT_STEP_CAP):
+def standard_systems(which, n):
     """The two named systems the verification procedures reduce against."""
     which = which.upper()
     if which == "CH":
-        return ch_system(n, step_cap)
+        return ch_system(n)
     if which == "BCBS":
-        return bcbs_system(n, step_cap)
+        return bcbs_system(n)
     raise ValueError(f"unknown standard system {which!r}")

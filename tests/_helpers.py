@@ -142,7 +142,7 @@ def reference_confirm_zero(e, space, seed, points=100, system=None):
     raise AssertionError("reference sampler ran out of points")
 
 
-def reference_numeric_proportionality(a, b, cofactor, trials=100, seed=0, tol=ZERO_TOL):
+def reference_numeric_proportionality(a, b, cofactor, trials=100, seed=0):
     tf = TestFunction(a.space() or b.space(), seed)
     cof = cofactor.as_ratexpr()
     jets = set(a.jets()) | set(b.jets()) | set(cof.jets())
@@ -158,7 +158,7 @@ def reference_numeric_proportionality(a, b, cofactor, trials=100, seed=0, tol=ZE
         except SmallDenominatorError:
             continue
         va, vb = na / da, (nc / dc) * (nb / db)
-        if abs(va - vb) > tol * max(1.0, abs(va), abs(vb)):
+        if abs(va - vb) > ZERO_TOL * max(1.0, abs(va), abs(vb)):
             return False
         accepted += 1
         if accepted == trials:

@@ -141,6 +141,13 @@ def test_reduce_outputs_are_pinned(capsys):
     assert hashlib.md5("".join(out).encode()).hexdigest() == "270b2f4382a5e065dba04dc8e90012f2"
 
 
+def test_reduce_step_cap_is_an_engine_error(capsys):
+    assert main(["reduce", "--system", "ch", "--n", "2", "--step-cap", "1",
+                 "--expr", "P_{X,X,T} + P_{X,T}*Omega[1]_{X,X,X}"]) == 3
+    assert capsys.readouterr().err == ("engine error: StepCapError: reduction exceeded 1 "
+                                       "steps; last rewrites: P_{X,X,T}\n")
+
+
 def test_reduce_bcbs_needs_n2(capsys):
     assert main(["reduce", "--system", "bcbs", "--n", "1", "--expr", "X_{T0}"]) == 2
 

@@ -156,10 +156,9 @@ def test_prolonging_to_a_jet_below_the_lead_is_an_engine_error():
 
 
 def test_step_cap_reported_as_nontermination():
-    tiny = standard_systems("CH", 2, step_cap=2)
     e = parse("P_{X,X,T} + P_{X,T}*Omega[1]_{X,X,X}", CH2)
     with pytest.raises(StepCapError):
-        reduce(tiny, e)
+        standard_systems("CH", 2).reduce(e, step_cap=2)
 
 
 def test_step_cap_error_names_the_last_twelve_rewrites():
@@ -169,7 +168,7 @@ def test_step_cap_error_names_the_last_twelve_rewrites():
 
     e = parse(" + ".join(p_xt(k) for k in range(16)), CH2)
     with pytest.raises(StepCapError) as err:
-        standard_systems("CH", 2, step_cap=14).reduce(e)
+        standard_systems("CH", 2).reduce(e, step_cap=14)
     assert err.value.trace == tuple(p_xt(k) for k in range(13, 1, -1))
     assert str(err.value) == ("reduction exceeded 14 steps; last rewrites: "
                               + ", ".join(err.value.trace))
@@ -177,22 +176,30 @@ def test_step_cap_error_names_the_last_twelve_rewrites():
 
 @pytest.mark.parametrize("cap,raises", [(1, True), (2, False)])
 def test_step_cap_bounds_the_substitutions(monkeypatch, cap, raises):
-    # the C_MR image of E_Q1 reduces to zero modulo CH in exactly 2 rewrites
+    # the C_MR image of E_Q1 reduces to zero modulo CH in exactly 2 rewrites;
+    # the cap is checked before a rewrite's prolonged right side is built
     img = build_map("C_MR", 2).transport(gen_qiao(2)[1].residual)
-    calls = []
+    calls, prolonged = [], []
+    prolonged_rhs = RewriteSystem.prolonged_rhs
 
     def counted(e, jet, rhs):
         calls.append(jet)
         return substitute_jet(e, jet, rhs)
 
+    def counted_rhs(self, rule, jet):
+        prolonged.append(jet)
+        return prolonged_rhs(self, rule, jet)
+
     monkeypatch.setattr(reduction, "substitute_jet", counted)
-    system = standard_systems("CH", 2, step_cap=cap)
+    monkeypatch.setattr(RewriteSystem, "prolonged_rhs", counted_rhs)
+    system = standard_systems("CH", 2)
     if raises:
         with pytest.raises(StepCapError):
-            system.reduce(img)
+            system.reduce(img, step_cap=cap)
     else:
-        assert system.reduce(img).is_zero()
+        assert system.reduce(img, step_cap=cap).is_zero()
     assert len(calls) == min(cap, 2)
+    assert len(prolonged) == min(cap, 2)
 
 
 def test_shuffle_mode_agrees_with_deterministic_order():
