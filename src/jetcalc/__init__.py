@@ -17,9 +17,9 @@ from .diffalg import (
     combine,
     equivalent,
     is_zero,
+    limits,
     proportional,
     substitute_jet,
-    term_cap,
     total_derivative,
 )
 from .exprio import ParseError, SourceSpan, from_json, parse, print_expr, to_json

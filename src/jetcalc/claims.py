@@ -74,11 +74,10 @@ class _Runner:
     """Collects check results and the shared numeric bookkeeping for one cell:
     its checks sample through one SampleWalks, which ends with the cell."""
 
-    def __init__(self, claim, n, seed, step_cap):
+    def __init__(self, claim, n, seed):
         self.claim = claim
         self.n = n
         self.seed = (numoracle.hash_stable(claim) * 131071 + n * 8191 + seed) & 0x3FFFFFFF
-        self.step_cap = step_cap
         self.checks = []
         self.cofactor = None
         self.terms = 0
@@ -89,7 +88,7 @@ class _Runner:
 
     def zero_check(self, label, expr, space, system=None):
         """Symbolic zero plus the 100-point numeric confirmation."""
-        reduced = expr if system is None else system.reduce(expr, step_cap=self.step_cap)
+        reduced = expr if system is None else system.reduce(expr)
         self.terms += len(reduced.num.terms)
         if not reduced.is_zero():
             self.add(label, False)
@@ -160,19 +159,19 @@ def _derivative(jet, lower_image, var):
     return lower_image.total_derivative(var)
 
 
-def _eliminate(expr, images, base, step_cap, what):
+def _eliminate(expr, images, base, what):
     """expr with every jet of base's field replaced by its image from images,
-    prolonged from base where images lacks it; more than step_cap
-    substitutions raise StepCapError."""
+    prolonged from base where images lacks it; more substitutions than the
+    step cap raise StepCapError."""
     def pick(e):
         return next(((jet, None) for jet in e.jets() if jet.field is base.field), None)
 
     return reduction.rewrite(expr, pick,
                              lambda _, jet: diffalg.prolong(images, base, jet, _derivative),
-                             step_cap, f"{what} substitution")
+                             f"{what} substitution")
 
 
-def _substituted_cbs(n, i, step_cap=reduction.DEFAULT_STEP_CAP, cbs=None):
+def _substituted_cbs(n, i, cbs=None):
     """cbs_i with every M jet replaced by the corresponding T-derivatives of
     the defining X-expressions (jets carrying a T0 derivative come from the
     M_0 equation, bare M_j jets from the M_j one).  cbs is cbs_i's residual,
@@ -184,11 +183,11 @@ def _substituted_cbs(n, i, step_cap=reduction.DEFAULT_STEP_CAP, cbs=None):
     images = {base: hier.m0_image(n)}
     for j in range(1, n):
         images[rsp.jet("M", **{f"T{j}": 1})] = hier.mi_image(n, j)
-    return _eliminate(cbs, images, base, step_cap, "M")
+    return _eliminate(cbs, images, base, "M")
 
 
 def _modulo_each_bcbs_rule(r, n, label, why, substitute, family):
-    """One zero_check per i = 1..n-1 of substitute(n, i, step_cap, residual)
+    """One zero_check per i = 1..n-1 of substitute(n, i, residual)
     for family[i - 1], modulo rule i of the BCBS system alone: the one rule
     its reduction applies.  A single rule has no critical pairs, so each
     system is coherent, and the numeric oracle reads the lower rules' leads
@@ -199,7 +198,7 @@ def _modulo_each_bcbs_rule(r, n, label, why, substitute, family):
     system = reduction.standard_systems("BCBS", n)
     for i, rule in enumerate(system.rules, start=1):
         one_rule = reduction.RewriteSystem([rule], system.ranking)
-        expr = substitute(n, i, r.step_cap, family[i - 1].residual)
+        expr = substitute(n, i, family[i - 1].residual)
         r.zero_check(label.format(i), expr, hier.r_space(n), system=one_rule)
 
 
@@ -222,10 +221,10 @@ def _c4(r, n):
           f"{closing.term_count()} terms: {exprio.print_text(closing)}")
 
 
-def _miura_substituted_bmcbs(n, i, step_cap=reduction.DEFAULT_STEP_CAP, bmcbs=None):
+def _miura_substituted_bmcbs(n, i, bmcbs=None):
     """bmcbs_i with x_{i+1} solved from the mixed relation and every
-    T0-carrying x jet replaced by the prolonged height relation; more than
-    step_cap height substitutions raise StepCapError.  bmcbs is bmcbs_i's
+    T0-carrying x jet replaced by the prolonged height relation; more height
+    substitutions than the step cap raise StepCapError.  bmcbs is bmcbs_i's
     residual, generated when not given."""
     rsp = hier.r_space(n)
     expr = hier.gen_mcbs_family(n).bmcbs[i - 1].residual if bmcbs is None else bmcbs
@@ -237,7 +236,7 @@ def _miura_substituted_bmcbs(n, i, step_cap=reduction.DEFAULT_STEP_CAP, bmcbs=No
               + x0 * rsp.expr("X", **{f"T{i + 1}": 1}) / rsp.expr("X", T0=1))
     expr = substitute_jet(expr, rsp.jet("x", **{f"T{i + 1}": 1}), x_next)
     base = rsp.jet("x", T0=1)
-    return _eliminate(expr, {base: hier._r_big_s(n)}, base, step_cap, "height")
+    return _eliminate(expr, {base: hier._r_big_s(n)}, base, "height")
 
 
 def _c5(r, n):
@@ -310,15 +309,16 @@ _CLAIM_FNS = {
 }
 
 
-def run_claim(claim, n, seed=0, step_cap=reduction.DEFAULT_STEP_CAP,
+def run_claim(claim, n, seed=0, step_cap=diffalg.DEFAULT_STEP_CAP,
               term_cap=diffalg.DEFAULT_TERM_CAP):
-    """Run one claim at one hierarchy size; engine errors become status error."""
+    """Run one claim at one hierarchy size under diffalg.limits(term_cap,
+    step_cap); engine errors become status error."""
     if claim not in _CLAIM_FNS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIM_IDS}")
     hier._check_n(n)
     t0 = time.perf_counter()
-    runner = _Runner(claim, n, seed, step_cap)
-    with diffalg.term_cap(term_cap):
+    runner = _Runner(claim, n, seed)
+    with diffalg.limits(term_cap=term_cap, step_cap=step_cap):
         try:
             _CLAIM_FNS[claim](runner, n)
         except DiffAlgError as exc:
@@ -331,18 +331,21 @@ def _cell(args):
 
 
 def run_all(n_max, claims=None, seed=0, jobs=1,
-            step_cap=reduction.DEFAULT_STEP_CAP, term_cap=diffalg.DEFAULT_TERM_CAP):
+            step_cap=diffalg.DEFAULT_STEP_CAP, term_cap=diffalg.DEFAULT_TERM_CAP):
     """Run the selected claims for n = 1..n_max; cells may run in parallel and
-    are merged deterministically by (claim, n)."""
+    are merged deterministically by (claim, n).  Each cell carries the caps,
+    because a pool worker does not inherit the caller's diffalg.limits."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     selected = list(claims) if claims else list(CLAIM_IDS)
     for c in selected:
         if c not in _CLAIM_FNS:
             raise ValueError(f"unknown claim {c!r}")
     cells = [(c, n, seed, step_cap, term_cap)
              for c in selected for n in range(1, n_max + 1)]
-    if jobs and jobs > 1:
+    if jobs > 1:
         # imported here: serial runs and `import jetcalc.cli` do not pay for it
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -131,7 +131,11 @@ def cmd_reduce(args):
     except exprio.ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    result = system.reduce(expr, step_cap=args.step_cap)
+    with diffalg.limits(step_cap=args.step_cap):
+        result = system.reduce(expr)
+    if not system.coherent:
+        print(f"note: the {which} system at n={args.n} is not shown coherent; "
+              "the normal form may depend on the rewrite order", file=sys.stderr)
     print(exprio.print_expr(result, args.format))
     return EXIT_PASS
 
@@ -173,8 +177,9 @@ def build_parser():
                         help="parallel worker processes (default: cpu count)")
     verify.add_argument("--term-cap", type=int, default=diffalg.DEFAULT_TERM_CAP,
                         help=f"expression-size guard (default {diffalg.DEFAULT_TERM_CAP})")
-    verify.add_argument("--step-cap", type=int, default=reduction.DEFAULT_STEP_CAP,
-                        help="rewrite step guard per reduction")
+    verify.add_argument("--step-cap", type=int, default=diffalg.DEFAULT_STEP_CAP,
+                        help="rewrite step guard per reduction and per C3 M or "
+                             f"C5 height substitution (default {diffalg.DEFAULT_STEP_CAP})")
     verify.add_argument("--timings", action="store_true",
                         help="include wall-clock millis in the report file")
     verify.set_defaults(func=cmd_verify)
@@ -184,7 +189,8 @@ def build_parser():
     red.add_argument("--n", type=int, required=True)
     red.add_argument("--expr", default=None, help="expression text (default: stdin)")
     red.add_argument("--format", default="text", choices=("text", "latex", "json"))
-    red.add_argument("--step-cap", type=int, default=reduction.DEFAULT_STEP_CAP)
+    red.add_argument("--step-cap", type=int, default=diffalg.DEFAULT_STEP_CAP,
+                     help=f"rewrite step guard (default {diffalg.DEFAULT_STEP_CAP})")
     red.set_defaults(func=cmd_reduce)
 
     ev = sub.add_parser("eval", help="numeric evaluation at a seeded sample point")

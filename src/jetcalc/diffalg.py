@@ -42,20 +42,24 @@ from operator import attrgetter
 
 
 DEFAULT_TERM_CAP = 200_000
+DEFAULT_STEP_CAP = 10_000
 
-_term_cap = ContextVar("term_cap", default=DEFAULT_TERM_CAP)
+# (term cap, step cap) of the innermost limits() block
+_limits = ContextVar("limits", default=(DEFAULT_TERM_CAP, DEFAULT_STEP_CAP))
 
 
 @contextmanager
-def term_cap(cap):
-    """Scope the expression-size guard (number of stored terms) to a block."""
-    if cap < 1:
-        raise ValueError("term cap must be positive")
-    token = _term_cap.set(int(cap))
+def limits(term_cap=DEFAULT_TERM_CAP, step_cap=DEFAULT_STEP_CAP):
+    """Scope both engine guards to a block: term_cap bounds the stored terms
+    of a polynomial (TermCapError), step_cap the substitutions of one
+    reduction.rewrite loop (StepCapError)."""
+    if term_cap < 1 or step_cap < 1:
+        raise ValueError("term and step caps must be positive")
+    token = _limits.set((int(term_cap), int(step_cap)))
     try:
         yield
     finally:
-        _term_cap.reset(token)
+        _limits.reset(token)
 
 
 class DiffAlgError(Exception):
@@ -430,9 +434,9 @@ class DiffPoly:
     __slots__ = ("terms", "_space", "_hash")
 
     def __init__(self, terms, space=_SCAN):
-        if len(terms) > _term_cap.get():
-            raise TermCapError(
-                f"polynomial with {len(terms)} terms exceeds the cap of {_term_cap.get()}")
+        cap = _limits.get()[0]
+        if len(terms) > cap:
+            raise TermCapError(f"polynomial with {len(terms)} terms exceeds the cap of {cap}")
         self.terms = terms
         if not terms:
             space = None
@@ -542,7 +546,7 @@ class DiffPoly:
         if self.is_const():
             return other.scale(self.const_value())
         out = {}
-        cap = _term_cap.get()
+        cap = _limits.get()[0]
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1.mul(m2)

@@ -26,9 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import hierarchies as hier
-from .diffalg import DiffAlgError, DiffPoly, JetVar, RatExpr, prolong, substitute_jet
-
-DEFAULT_STEP_CAP = 10_000
+from .diffalg import DiffAlgError, DiffPoly, JetVar, RatExpr, _limits, prolong, substitute_jet
 
 
 class ReductionError(DiffAlgError):
@@ -57,11 +55,13 @@ class StepCapError(ReductionError):
         super().__init__(message + "; last rewrites: " + ", ".join(self.trace))
 
 
-def rewrite(e, pick, image, step_cap, what):
+def rewrite(e, pick, image, what):
     """Substitute jets into e until pick(e), which gives (jet, how) or None,
-    finds none; each jet is replaced by image(how, jet).  The cap is checked
-    before the image is built: more than step_cap substitutions raise
-    StepCapError "{what} exceeded {step_cap} steps"."""
+    finds none; each jet is replaced by image(how, jet).  The step cap of the
+    enclosing diffalg.limits block is checked before the image is built: more
+    than step_cap substitutions raise StepCapError "{what} exceeded {step_cap}
+    steps"."""
+    step_cap = _limits.get()[1]
     trace = []
     while True:
         picked = pick(e)
@@ -187,13 +187,13 @@ class RewriteSystem:
                     f"prolonged rule for {jet.text()} contains {j.text()}")
         return rhs
 
-    def reduce(self, e, rng=None, step_cap=DEFAULT_STEP_CAP):
+    def reduce(self, e, rng=None):
         """Rewrite to normal form: no jet of the result matches any rule.
 
         Deterministic strategy: replace all occurrences of the highest-ranked
         matching jet, repeat.  With rng given (shuffle mode), the jet and the
-        rule applied to it are chosen at random instead.  More than step_cap
-        rewrites raise StepCapError.
+        rule applied to it are chosen at random instead.  More rewrites than
+        the step cap of diffalg.limits raise StepCapError.
         """
         if rng is None:
             def pick(e):
@@ -203,7 +203,7 @@ class RewriteSystem:
             def pick(e):
                 matches = [(j, r) for j in e.jets() for r in self.match_all(j)]
                 return matches[rng.randrange(len(matches))] if matches else None
-        return rewrite(RatExpr._coerce(e), pick, self.prolonged_rhs, step_cap, "reduction")
+        return rewrite(RatExpr._coerce(e), pick, self.prolonged_rhs, "reduction")
 
 
 def reduce(sys, e, rng=None):

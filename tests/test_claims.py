@@ -7,7 +7,7 @@ from jetcalc import claims, numoracle
 from jetcalc import hierarchies as hier
 from jetcalc.claims import CLAIM_IDS, CheckResult, _derivative, run_all, run_claim
 from jetcalc.diffalg import RatExpr, prolong
-from jetcalc.reduction import DEFAULT_STEP_CAP, RewriteSystem
+from jetcalc.reduction import RewriteSystem
 
 
 def test_c1_passes_at_n3():
@@ -81,8 +81,21 @@ def test_engine_error_is_reported_not_raised():
 
 
 def test_term_cap_does_not_leak_into_later_calls():
+    # nor does the step cap: both are scoped by one diffalg.limits per cell
     run_all(1, claims=["C9"], term_cap=50)
+    assert run_all(2, claims=["C9"], step_cap=1)[-1].status == "error"
     assert run_claim("C3", 3).status == "pass"
+
+
+@pytest.mark.parametrize("cap,error", [({"step_cap": 1}, "StepCapError"),
+                                       ({"term_cap": 6}, "TermCapError")])
+def test_caps_cross_the_process_pool(cap, error):
+    # a pool worker does not inherit the caller's limits: each cell carries them
+    seq = [rep.record() for rep in run_all(2, claims=["C9"], jobs=1, **cap)]
+    par = [rep.record() for rep in run_all(2, claims=["C9"], jobs=2, **cap)]
+    assert seq == par
+    assert all(any(line.startswith(f"engine: error ({error}: ") for line in rec["details"])
+               for rec in par)
 
 
 def test_step_cap_error_is_reported():
@@ -96,7 +109,7 @@ X0 = R2.expr("X", T0=1)
 
 
 def _runner():
-    return claims._Runner("C1", 2, 0, DEFAULT_STEP_CAP)
+    return claims._Runner("C1", 2, 0)
 
 
 def test_a_nonzero_reduction_fails_with_no_note():

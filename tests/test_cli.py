@@ -66,8 +66,9 @@ def test_gen_outputs_are_pinned(capsys):
 
 def test_verify_unknown_claim(capsys):
     assert main(["verify", "--claim", "C42"]) == 2
-    assert main(["verify", "--claim", "C1", "--n-max", "1", "--jobs", "1",
-                 "--term-cap", "0"]) == 2
+    for bad in (["--term-cap", "0"], ["--step-cap", "0"], ["--step-cap", "-1"],
+                ["--jobs", "0"], ["--jobs", "-3"]):
+        assert main(["verify", "--claim", "C1", "--n-max", "1", "--jobs", "1"] + bad) == 2
     # the numeric zero tolerance is fixed, not a flag
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--claim", "C1", "--n-max", "1", "--jobs", "1", "--zero-tol", "1e-9"])
@@ -146,6 +147,20 @@ def test_reduce_step_cap_is_an_engine_error(capsys):
                  "--expr", "P_{X,X,T} + P_{X,T}*Omega[1]_{X,X,X}"]) == 3
     assert capsys.readouterr().err == ("engine error: StepCapError: reduction exceeded 1 "
                                        "steps; last rewrites: P_{X,X,T}\n")
+
+
+def test_reduce_rejects_a_negative_step_cap(capsys):
+    assert main(["reduce", "--system", "ch", "--n", "2", "--step-cap", "-1",
+                 "--expr", "P_{T,T}"]) == 2
+    assert capsys.readouterr().err == "error: term and step caps must be positive\n"
+
+
+def test_reduce_notes_a_system_not_shown_coherent(capsys):
+    assert main(["reduce", "--system", "bcbs", "--n", "3", "--expr", "X_{T0,T0,T1}"]) == 0
+    assert capsys.readouterr().err == ("note: the BCBS system at n=3 is not shown coherent; "
+                                       "the normal form may depend on the rewrite order\n")
+    assert main(["reduce", "--system", "ch", "--n", "3", "--expr", "P_{X,T}"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_reduce_bcbs_needs_n2(capsys):

@@ -213,12 +213,21 @@ def test_cofactor_text_roundtrip():
 
 
 def test_term_cap_guard_is_distinct_error():
-    with diffalg.term_cap(8):
+    with diffalg.limits(term_cap=8):
         big = rx("X_{T0} + X_{T1} + X_{T0,T0} + 1")
         with pytest.raises(TermCapError):
             acc = big
             for _ in range(6):
                 acc = acc * big
+
+
+def test_limits_restore_both_defaults_after_an_exception():
+    defaults = (diffalg.DEFAULT_TERM_CAP, diffalg.DEFAULT_STEP_CAP)
+    with pytest.raises(RuntimeError):
+        with diffalg.limits(term_cap=3, step_cap=2):
+            assert diffalg._limits.get() == (3, 2)
+            raise RuntimeError
+    assert diffalg._limits.get() == defaults
 
 
 def test_substitute_jet_exact():
@@ -406,7 +415,7 @@ def test_term_cap_fires_in_the_monomial_denominator_derivative():
     # (N'*r - N*(m'/m)*r, 10 terms) does not
     cap = 9
     assert len(e.num.total_derivative("T0").terms) <= cap
-    with diffalg.term_cap(cap):
+    with diffalg.limits(term_cap=cap):
         with pytest.raises(TermCapError):
             e.total_derivative("T0")
     assert len(total_derivative(e, "T0").num.terms) > cap

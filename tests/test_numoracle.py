@@ -16,8 +16,7 @@ from jetcalc.numoracle import (FD_TOL, ZERO_TOL, JetPoint, MissingJetError,
                                NumericError, SampleWalks, SmallDenominatorError,
                                TestFunction, confirm_zero, consistent_point, eval_expr,
                                fd_check, numeric_proportionality, relative_residual)
-from jetcalc.reduction import (DEFAULT_STEP_CAP, JetRanking, RewriteRule, RewriteSystem,
-                               standard_systems)
+from jetcalc.reduction import JetRanking, RewriteRule, RewriteSystem, standard_systems
 from jetcalc.transform import build_map, transport
 
 R2 = r_space(2)
@@ -182,8 +181,6 @@ class _ZeroChecks:
     """Stands in for a claim runner and keeps the expressions the claim
     hands to zero_check."""
 
-    step_cap = 10_000
-
     def __init__(self):
         self.calls = []
 
@@ -277,7 +274,7 @@ def test_numeric_proportionality_is_bit_identical_to_the_reference():
 def _run_cell(monkeypatch, claim, n, check):
     """Run a claim cell through the real runner and record each call of the
     numoracle check it makes, with its arguments and result."""
-    runner = claims._Runner(claim, n, 0, DEFAULT_STEP_CAP)
+    runner = claims._Runner(claim, n, 0)
     original = getattr(numoracle, check)
     calls = []
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from _helpers import random_poly_from
-from jetcalc import reduction
+from jetcalc import diffalg, reduction
 from jetcalc.diffalg import DiffAlgError, is_zero, substitute_jet, total_derivative
 from jetcalc.exprio import parse
 from jetcalc.hierarchies import (ch_space, gen_cbs_family, gen_ch,
@@ -157,8 +157,8 @@ def test_prolonging_to_a_jet_below_the_lead_is_an_engine_error():
 
 def test_step_cap_reported_as_nontermination():
     e = parse("P_{X,X,T} + P_{X,T}*Omega[1]_{X,X,X}", CH2)
-    with pytest.raises(StepCapError):
-        standard_systems("CH", 2).reduce(e, step_cap=2)
+    with diffalg.limits(step_cap=2), pytest.raises(StepCapError):
+        standard_systems("CH", 2).reduce(e)
 
 
 def test_step_cap_error_names_the_last_twelve_rewrites():
@@ -167,8 +167,8 @@ def test_step_cap_error_names_the_last_twelve_rewrites():
         return "P_{" + ",".join(["X"] * k + ["T"]) + "}"
 
     e = parse(" + ".join(p_xt(k) for k in range(16)), CH2)
-    with pytest.raises(StepCapError) as err:
-        standard_systems("CH", 2).reduce(e, step_cap=14)
+    with diffalg.limits(step_cap=14), pytest.raises(StepCapError) as err:
+        standard_systems("CH", 2).reduce(e)
     assert err.value.trace == tuple(p_xt(k) for k in range(13, 1, -1))
     assert str(err.value) == ("reduction exceeded 14 steps; last rewrites: "
                               + ", ".join(err.value.trace))
@@ -193,11 +193,12 @@ def test_step_cap_bounds_the_substitutions(monkeypatch, cap, raises):
     monkeypatch.setattr(reduction, "substitute_jet", counted)
     monkeypatch.setattr(RewriteSystem, "prolonged_rhs", counted_rhs)
     system = standard_systems("CH", 2)
-    if raises:
-        with pytest.raises(StepCapError):
-            system.reduce(img, step_cap=cap)
-    else:
-        assert system.reduce(img, step_cap=cap).is_zero()
+    with diffalg.limits(step_cap=cap):
+        if raises:
+            with pytest.raises(StepCapError):
+                system.reduce(img)
+        else:
+            assert system.reduce(img).is_zero()
     assert len(calls) == min(cap, 2)
     assert len(prolonged) == min(cap, 2)
 
