@@ -171,40 +171,36 @@ def _eliminate(expr, images, base, what):
                              f"{what} substitution")
 
 
-def _substituted_cbs(n, i, cbs=None):
+def _substituted_cbs(n, i, fam=None):
     """cbs_i with every M jet replaced by the corresponding T-derivatives of
-    the defining X-expressions (jets carrying a T0 derivative come from the
-    M_0 equation, bare M_j jets from the M_j one).  cbs is cbs_i's residual,
-    generated when not given."""
-    if cbs is None:
-        cbs = hier.gen_cbs_family(n).cbs[i - 1].residual
+    the X-expressions solved from the M equations (jets carrying a T0
+    derivative come from msys_M0, bare M_j jets from msys_Mj).  fam is
+    gen_cbs_family(n), generated when not given."""
+    fam = hier.gen_cbs_family(n) if fam is None else fam
     rsp = hier.r_space(n)
-    base = rsp.jet("M", T0=1)
-    images = {base: hier.m0_image(n)}
-    for j in range(1, n):
-        images[rsp.jet("M", **{f"T{j}": 1})] = hier.mi_image(n, j)
-    return _eliminate(cbs, images, base, "M")
+    leads = [rsp.jet("M", T0=1)] + [rsp.jet("M", **{f"T{j}": 1}) for j in range(1, n)]
+    images = {lead: reduction.orient(eq, lead).rhs for lead, eq in zip(leads, fam.msys)}
+    return _eliminate(fam.cbs[i - 1].residual, images, leads[0], "M")
 
 
-def _modulo_each_bcbs_rule(r, n, label, why, substitute, family):
-    """One zero_check per i = 1..n-1 of substitute(n, i, residual)
-    for family[i - 1], modulo rule i of the BCBS system alone: the one rule
-    its reduction applies.  A single rule has no critical pairs, so each
-    system is coherent, and the numeric oracle reads the lower rules' leads
-    as free jets instead of cascading down them."""
+def _modulo_each_bcbs_rule(r, n, label, why, substituted):
+    """One zero_check per i = 1..n-1 of substituted(i) modulo rule i of the
+    BCBS system alone: the one rule its reduction applies.  A single rule has
+    no critical pairs, so each system is coherent, and the numeric oracle
+    reads the lower rules' leads as free jets instead of cascading down them."""
     if n == 1:
         r.add("vacuous", True, why)
         return
     system = reduction.standard_systems("BCBS", n)
     for i, rule in enumerate(system.rules, start=1):
         one_rule = reduction.RewriteSystem([rule], system.ranking)
-        expr = substitute(n, i, family[i - 1].residual)
-        r.zero_check(label.format(i), expr, hier.r_space(n), system=one_rule)
+        r.zero_check(label.format(i), substituted(i), hier.r_space(n), system=one_rule)
 
 
 def _c3(r, n):
+    fam = hier.gen_cbs_family(n)
     _modulo_each_bcbs_rule(r, n, "cbs_{} modulo bcbs", "no CBS equations at n=1",
-                           _substituted_cbs, hier.gen_cbs_family(n).cbs)
+                           lambda i: _substituted_cbs(n, i, fam))
 
 
 def _c4(r, n):
@@ -221,28 +217,30 @@ def _c4(r, n):
           f"{closing.term_count()} terms: {exprio.print_text(closing)}")
 
 
-def _miura_substituted_bmcbs(n, i, bmcbs=None):
-    """bmcbs_i with x_{i+1} solved from the mixed relation and every
-    T0-carrying x jet replaced by the prolonged height relation; more height
-    substitutions than the step cap raise StepCapError.  bmcbs is bmcbs_i's
-    residual, generated when not given."""
+def _miura_substituted_bmcbs(n, i, fam=None, rels=None):
+    """bmcbs_i with x_{T(i+1)} solved from MIX2_i and every T0-carrying x
+    jet replaced by the prolonged x_{T0} solved from HEIGHTS_R; more height
+    substitutions than the step cap raise StepCapError.  fam is
+    gen_mcbs_family(n) and rels maps labels to gen_miura_relations(n), each
+    generated when not given."""
+    fam = hier.gen_mcbs_family(n) if fam is None else fam
+    if rels is None:
+        rels = {e.label: e for e in hier.gen_miura_relations(n)}
     rsp = hier.r_space(n)
-    expr = hier.gen_mcbs_family(n).bmcbs[i - 1].residual if bmcbs is None else bmcbs
-    # solve the mixed relation for x_{i+1}:
-    #   x_{i+1} = x0*x_{0i} - x_{00i} + x0*X_{i+1}/X0
-    x0 = rsp.expr("x", T0=1)
-    x_next = (x0 * rsp.expr("x", T0=1, **{f"T{i}": 1})
-              - rsp.expr("x", T0=2, **{f"T{i}": 1})
-              + x0 * rsp.expr("X", **{f"T{i + 1}": 1}) / rsp.expr("X", T0=1))
-    expr = substitute_jet(expr, rsp.jet("x", **{f"T{i + 1}": 1}), x_next)
+    x_next = rsp.jet("x", **{f"T{i + 1}": 1})
+    expr = substitute_jet(fam.bmcbs[i - 1].residual, x_next,
+                          reduction.orient(rels[f"MIX2_{i}"], x_next).rhs)
     base = rsp.jet("x", T0=1)
-    return _eliminate(expr, {base: hier._r_big_s(n)}, base, "height")
+    height = reduction.orient(rels["HEIGHTS_R"], base).rhs
+    return _eliminate(expr, {base: height}, base, "height")
 
 
 def _c5(r, n):
+    fam = hier.gen_mcbs_family(n)
+    rels = {e.label: e for e in hier.gen_miura_relations(n)}
     _modulo_each_bcbs_rule(r, n, "bmcbs_{} under the Miura substitutions",
                            "no transformed middle equations at n=1",
-                           _miura_substituted_bmcbs, hier.gen_mcbs_family(n).bmcbs)
+                           lambda i: _miura_substituted_bmcbs(n, i, fam, rels))
 
 
 def _c6(r, n):

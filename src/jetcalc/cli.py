@@ -82,8 +82,6 @@ def _select_claims(selector):
 
 def cmd_verify(args):
     selected = _select_claims(args.claim)
-    if args.n_max < 1:
-        raise ValueError("--n-max must be >= 1")
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     reports = claims.run_all(
         args.n_max, claims=selected, seed=args.seed, jobs=jobs,
@@ -122,19 +120,13 @@ def cmd_verify(args):
 
 
 def cmd_reduce(args):
-    which = args.system.upper()
-    space = hier.ch_space(args.n) if which == "CH" else hier.r_space(args.n)
-    system = reduction.standard_systems(which, args.n)
+    system = reduction.standard_systems(args.system, args.n)
     source = args.expr if args.expr is not None else sys.stdin.read()
-    try:
-        expr = exprio.parse(source, space)
-    except exprio.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    expr = exprio.parse(source, system.ranking.space)
     with diffalg.limits(step_cap=args.step_cap):
         result = system.reduce(expr)
     if not system.coherent:
-        print(f"note: the {which} system at n={args.n} is not shown coherent; "
+        print(f"note: the {args.system} system at n={args.n} is not shown coherent; "
               "the normal form may depend on the rewrite order", file=sys.stderr)
     print(exprio.print_expr(result, args.format))
     return EXIT_PASS
@@ -142,11 +134,7 @@ def cmd_reduce(args):
 
 def cmd_eval(args):
     space = _SPACES[args.space](args.n)
-    try:
-        expr = exprio.parse(args.expr, space)
-    except exprio.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    expr = exprio.parse(args.expr, space)
     coords, value = numoracle.sample_value(expr, space, args.seed)
     coord_text = ", ".join(f"{v}={coords[v]:.6f}" for v in space.vars)
     print(f"{value!r}  at  {coord_text}")

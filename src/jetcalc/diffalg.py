@@ -584,8 +584,9 @@ class DiffPoly:
                         del out[m]
         return DiffPoly(out, self._space)
 
-    def divexact(self, other, step_limit=None):
-        """Exact quotient self/other, or None if other does not divide self.
+    def divexact(self, other):
+        """Exact quotient self/other, or None if other does not divide self
+        within 8*(len(self.terms) + len(other.terms)) + 64 steps.
 
         The pending terms wait in a heap that pops the largest monomial
         first; a cancelled term leaves its entry behind, to be skipped when
@@ -599,8 +600,6 @@ class DiffPoly:
             return _POLY_ZERO
         self._check_space(other)
         glm, glc = other.leading()
-        if step_limit is None:
-            step_limit = 8 * (len(self.terms) + len(other.terms)) + 64
         # most calls fail on the first leading term: test it before the heap
         if not glm.divides(self.leading()[0]):
             return None
@@ -608,7 +607,7 @@ class DiffPoly:
         pending = [_Pending(m) for m in work]
         heapify(pending)
         quot = {}
-        for _ in range(step_limit):
+        for _ in range(8 * (len(self.terms) + len(other.terms)) + 64):
             if not work:
                 return DiffPoly(quot, self._space)
             lm = heappop(pending).mono
@@ -766,12 +765,6 @@ class RatExpr:
 
     def is_zero(self):
         return self.num.is_zero()
-
-    def is_const(self):
-        return self.num.is_const() and self.den.is_const()
-
-    def const_value(self):
-        return self.num.const_value() / self.den.const_value()
 
     def jets(self):
         seen = set()

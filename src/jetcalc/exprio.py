@@ -34,7 +34,7 @@ class SourceSpan:
             raise ValueError("span begin must not exceed end")
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     def __init__(self, message, span):
         super().__init__(f"{message} at {span.begin}..{span.end}")
         self.message = message

@@ -6,8 +6,9 @@ by the rhs prolonged to that jet (total derivatives of both sides), until no
 jet in the expression matches.  Prolongation goes through diffalg.prolong
 with one memo per rule lead.  The jet ranking is
 lexicographic on (evolution-variable derivative orders, remaining total
-order, field priority, multi-index); rules are validated so every rewrite
-strictly lowers the ranked jets present, which gives termination.
+order, field priority, multi-index).  A RewriteSystem checks each rule, and
+each prolongation of it, against its own ranking, so every rewrite strictly
+lowers the ranked jets present, which gives termination; orient only solves.
 
 A system is coherent (`RewriteSystem.coherent`) when no jet dominates the
 leads of two of its rules: a single rule, or leads on distinct fields, as in
@@ -15,9 +16,10 @@ the CH system.  Such a system has no critical pairs, so its normal forms do
 not depend on the order of the rewrites, and a non-zero normal form refutes
 a zero.  The claims reduce only modulo coherent systems: the CH system, and
 one BCBS rule per check.  The full BCBS system at n >= 3 has two or more X
-leads, and whether it is coherent is not decided.  The default strategy is
-deterministic (highest-ranked matching jet first), and shuffle mode reruns
-with a randomized pick to surface any order dependence.
+leads; at n=3 the normal form of X_{T0,T2,T3} depends on which of its two
+matching rules is applied first, so that system is not coherent.  The
+default strategy is deterministic (highest-ranked matching jet first), and
+shuffle mode reruns with a randomized pick to surface any order dependence.
 """
 
 from __future__ import annotations
@@ -100,7 +102,10 @@ class RewriteRule:
 
 
 def orient(eq, lead):
-    """Solve eq's residual for a linearly occurring jet, yielding a rule."""
+    """Solve eq's residual for a linearly occurring jet, yielding a rule.
+
+    The right side may rank at or above the lead: a RewriteSystem checks its
+    rules against its own ranking."""
     residual = eq.residual if isinstance(eq, hier.Equation) else RatExpr._coerce(eq)
     origin = eq.label if isinstance(eq, hier.Equation) else "<expr>"
     for jet in residual.den.jets():
@@ -128,14 +133,7 @@ def orient(eq, lead):
     rest = DiffPoly(rest_terms)
     # the residual's denominator scales the lead coefficient and the remainder
     # identically, so the solved form is simply -rest/coeff
-    rhs = RatExpr.make(rest.neg(), coeff)
-    ranking = JetRanking(lead.field.space)
-    for jet in rhs.jets():
-        if ranking.key(jet) >= ranking.key(lead):
-            raise RankingViolationError(
-                f"rule for {lead.text()} from {origin} has {jet.text()} "
-                "at or above the lead in the ranking")
-    return RewriteRule(lead, rhs, origin)
+    return RewriteRule(lead, RatExpr.make(rest.neg(), coeff), origin)
 
 
 class RewriteSystem:

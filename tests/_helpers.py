@@ -248,8 +248,9 @@ def reference_mono_div(mono, other):
     return Monomial.from_pairs(rem.items())
 
 
-def reference_divexact(poly, other, step_limit=None):
-    """Exact quotient poly/other, or None if other does not divide poly."""
+def reference_divexact(poly, other):
+    """Exact quotient poly/other, or None if other does not divide poly
+    within 8*(len(poly.terms) + len(other.terms)) + 64 steps."""
     if other.is_zero():
         raise ZeroDivisionExprError("polynomial division by zero")
     if other.is_const():
@@ -260,9 +261,7 @@ def reference_divexact(poly, other, step_limit=None):
     glc = Fraction(glc)
     work = dict(poly.terms)
     quot = {}
-    if step_limit is None:
-        step_limit = 8 * (len(poly.terms) + len(other.terms)) + 64
-    for _ in range(step_limit):
+    for _ in range(8 * (len(poly.terms) + len(other.terms)) + 64):
         if not work:
             return DiffPoly(quot, poly.space())
         lm = max(work, key=lambda m: m.key)

@@ -1,5 +1,7 @@
 """Claim runner behavior: outcomes, vacuous cells, determinism, error paths."""
 
+from dataclasses import replace
+
 import pytest
 
 from _helpers import reference_t0_first_image
@@ -251,6 +253,50 @@ def test_each_zero_check_applies_only_its_paired_rule(monkeypatch, n):
         assert run_claim(claim, n).status == "pass"
     assert applied == _paired_leads(n)
     assert systems and all(s is None or s.coherent for s in systems)
+
+
+def _perturb_miura_relation(monkeypatch, label, extra):
+    """gen_miura_relations with extra added to the residual of label."""
+    generate = hier.gen_miura_relations
+
+    def perturbed(n):
+        return [replace(eq, residual=eq.residual + extra) if eq.label == label else eq
+                for eq in generate(n)]
+
+    monkeypatch.setattr(hier, "gen_miura_relations", perturbed)
+
+
+def _c5_statuses(n):
+    return {c.label: c.status for c in run_claim("C5", n).checks}
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_doubling_the_x_term_of_a_mixed_relation_flips_its_c5_check(monkeypatch, i):
+    # MIX2_i carries X_{T(i+1)}/X_{T0} once: adding it again doubles it
+    rsp = hier.r_space(3)
+    _perturb_miura_relation(monkeypatch, f"MIX2_{i}",
+                            rsp.expr("X", **{f"T{i + 1}": 1}) / rsp.expr("X", T0=1))
+    assert _c5_statuses(3) == {f"bmcbs_{k} under the Miura substitutions":
+                               "fail" if k == i else "pass" for k in (1, 2)}
+
+
+def test_perturbing_the_height_relation_flips_c5(monkeypatch):
+    _perturb_miura_relation(monkeypatch, "HEIGHTS_R", hier.r_space(3).expr("X", T0=1))
+    assert set(_c5_statuses(3).values()) == {"fail"}
+
+
+def test_perturbing_msys_m0_flips_c3(monkeypatch):
+    generate = hier.gen_cbs_family
+    extra = hier.r_space(3).expr("X", T0=1)
+
+    def perturbed(n):
+        fam = generate(n)
+        m0 = replace(fam.msys[0], residual=fam.msys[0].residual + extra)
+        return replace(fam, msys=(m0,) + fam.msys[1:])
+
+    monkeypatch.setattr(hier, "gen_cbs_family", perturbed)
+    rep = run_claim("C3", 3)
+    assert {c.status for c in rep.checks} == {"fail"}
 
 
 def test_claim_ids_complete():

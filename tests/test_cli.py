@@ -67,7 +67,7 @@ def test_gen_outputs_are_pinned(capsys):
 def test_verify_unknown_claim(capsys):
     assert main(["verify", "--claim", "C42"]) == 2
     for bad in (["--term-cap", "0"], ["--step-cap", "0"], ["--step-cap", "-1"],
-                ["--jobs", "0"], ["--jobs", "-3"]):
+                ["--jobs", "0"], ["--jobs", "-3"], ["--n-max", "0"]):
         assert main(["verify", "--claim", "C1", "--n-max", "1", "--jobs", "1"] + bad) == 2
     # the numeric zero tolerance is fixed, not a flag
     with pytest.raises(SystemExit) as exc:
@@ -157,7 +157,7 @@ def test_reduce_rejects_a_negative_step_cap(capsys):
 
 def test_reduce_notes_a_system_not_shown_coherent(capsys):
     assert main(["reduce", "--system", "bcbs", "--n", "3", "--expr", "X_{T0,T0,T1}"]) == 0
-    assert capsys.readouterr().err == ("note: the BCBS system at n=3 is not shown coherent; "
+    assert capsys.readouterr().err == ("note: the bcbs system at n=3 is not shown coherent; "
                                        "the normal form may depend on the rewrite order\n")
     assert main(["reduce", "--system", "ch", "--n", "3", "--expr", "P_{X,T}"]) == 0
     assert capsys.readouterr().err == ""
@@ -169,6 +169,12 @@ def test_reduce_bcbs_needs_n2(capsys):
 
 def test_reduce_parse_error(capsys):
     assert main(["reduce", "--system", "ch", "--n", "1", "--expr", "P_{Y}"]) == 2
+    assert capsys.readouterr().err == "error: unknown variable 'Y' at 3..4\n"
+
+
+def test_eval_parse_error(capsys):
+    assert main(["eval", "--space", "q", "--n", "1", "--expr", "u + "]) == 2
+    assert capsys.readouterr().err == "error: expected an expression, found '' at 4..4\n"
 
 
 def test_eval_is_deterministic(capsys):

@@ -155,6 +155,61 @@ def _ch_reduce_sympy(expr, P, W, Xv, Tv, n, maxiter=300):
     raise RuntimeError("sympy reduction did not reach a fixpoint")
 
 
+def _jet_derivative(jet, funcs, syms):
+    f = funcs[jet.field.label()]
+    pairs = [(syms[v], k) for v, k in zip(jet.field.deps, jet.orders) if k]
+    return sp.Derivative(f, *pairs)
+
+
+def _assert_prolongations_match(system, rule, rhs, funcs, syms, extra):
+    """For each tuple of variables in extra: the rule's right side prolonged
+    to its lead differentiated along them equals sympy's derivative of rhs."""
+    for variables in extra:
+        jet = rule.lead
+        for v in variables:
+            jet = jet.derived(v)
+        engine = to_sympy(system.prolonged_rhs(rule, jet), funcs, syms)
+        independent = sp.diff(rhs, *(syms[v] for v in variables)) if variables else rhs
+        gap = sp.together((engine - independent).doit())
+        assert sp.expand(sp.numer(gap)) == 0, jet.text()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ch_prolonged_right_sides_are_sympy_derivatives(n):
+    (Xv, Tv), syms, funcs = ch_context(n)
+    P = funcs["P"]
+    W = {i: funcs[f"Omega[{i}]"] for i in range(1, n + 1)}
+    solved = [-sp.Rational(1, 2) * sp.diff(P * W[1], Xv)]
+    solved += [sp.diff(W[i], Xv) - P * sp.diff(P * W[i + 1], Xv) for i in range(1, n)]
+    solved.append(P ** 2 + W[n])
+    system = standard_systems("CH", n)
+    assert len(system.rules) == len(solved)
+    for rule, rhs in zip(system.rules, solved):
+        _assert_prolongations_match(system, rule, rhs, funcs, syms,
+                                    [(), ("X",), ("T",), ("X", "X"), ("X", "T")])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bcbs_rule_prolonged_right_sides_are_sympy_derivatives(n):
+    # the last rule, X_{T0,Tn}, solved from the transformed equation by sympy
+    T, syms, funcs = r_context(n)
+    X = funcs["X"]
+    X0 = sp.diff(X, T[0])
+    S = sp.diff(X, T[0], 2) / X0 + X0
+    i = n - 1
+    resid = (sp.diff(sp.diff(X, T[i + 1]) / X0, T[0])
+             + sp.diff(sp.diff(S, T[0]) - S ** 2 / 2, T[i]))
+    lead = sp.Derivative(X, T[0], T[i + 1])
+    num = sp.expand(sp.numer(sp.together(resid.doit())))
+    a = num.coeff(lead, 1)
+    solved = -(num - a * lead) / a
+    system = standard_systems("BCBS", n)
+    rule = system.rules[i - 1]
+    assert rule.lead.text() == f"X_{{T0,T{n}}}"
+    _assert_prolongations_match(system, rule, solved, funcs, syms,
+                                [(), ("T0",), ("T1",), (f"T{n}",)])
+
+
 def test_c9_headline_fully_independent_at_n1():
     (Xv, Tv), syms, funcs = ch_context(1)
     P, W1 = funcs["P"], funcs["Omega[1]"]

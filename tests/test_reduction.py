@@ -50,12 +50,16 @@ def test_orient_lead_in_denominator():
         orient(eq, CH2.jet("P", T=1))
 
 
-def test_orient_ranking_violation():
-    # solving the closing CH equation for the undifferentiated field would put
-    # a second-order jet on the right side
+def test_rewrite_system_rejects_a_rule_at_or_above_its_lead():
+    # solved for the undifferentiated field, the closing CH equation has P and
+    # Omega[1]_{X,X} on its right side, both ranked above the lead: orient
+    # solves, the system refuses
     ch1 = ch_space(1)
-    with pytest.raises(RankingViolationError):
-        orient(gen_ch(1)[1], ch1.jet("Omega", 1))
+    rule = orient(gen_ch(1)[1], ch1.jet("Omega", 1))
+    assert is_zero(rule.rhs - parse("Omega[1]_{X,X} - P^2", ch1))
+    with pytest.raises(RankingViolationError) as err:
+        RewriteSystem([rule], JetRanking(ch1))
+    assert str(err.value) == "rule E_CH1n: P >= lead Omega[1]"
 
 
 def test_standard_ch_rule_count():
@@ -80,6 +84,40 @@ def test_bcbs_needs_n_at_least_two():
         standard_systems("BCBS", 1)
     with pytest.raises(ValueError):
         standard_systems("NOPE", 2)
+
+
+def test_a_jet_over_two_bcbs_leads_matches_the_higher_and_shuffles_both(monkeypatch):
+    r3 = r_space(3)
+    system = standard_systems("BCBS", 3)
+    jet = r3.jet("X", T0=1, T2=1, T3=1)
+    low, high = r3.jet("X", T0=1, T2=1), r3.jet("X", T0=1, T3=1)
+    assert [rule.lead for rule in system.match_all(jet)] == [low, high]
+    assert system.ranking.higher(high, low) and not system.ranking.higher(low, high)
+    assert system.match(jet).lead == high
+    applied = []
+    prolonged_rhs = RewriteSystem.prolonged_rhs
+
+    def recorded(self, rule, j):
+        applied.append((rule.lead, j))
+        return prolonged_rhs(self, rule, j)
+
+    monkeypatch.setattr(RewriteSystem, "prolonged_rhs", recorded)
+    deterministic = system.reduce(r3.expr("X", T0=1, T2=1, T3=1))
+    assert applied[0] == (high, jet)
+    # {lead of the rule applied to the jet: normal forms reached}
+    forms = {}
+    for k in range(8):
+        applied.clear()
+        e = system.reduce(r3.expr("X", T0=1, T2=1, T3=1), rng=random.Random(k))
+        assert applied[0][1] == jet
+        forms.setdefault(applied[0][0], []).append(e)
+    assert set(forms) == {low, high}
+    for lead, found in forms.items():
+        assert all(is_zero(e - found[0]) for e in found)
+    # the first rewrite decides the normal form: the system is not coherent
+    assert is_zero(forms[high][0] - deterministic)
+    assert not is_zero(forms[low][0] - deterministic)
+    assert not system.coherent
 
 
 def test_reduce_own_residual_to_zero():
