@@ -112,7 +112,7 @@ def test_a_jet_over_two_bcbs_leads_matches_the_higher_and_shuffles_both(monkeypa
         assert applied[0][1] == jet
         forms.setdefault(applied[0][0], []).append(e)
     assert set(forms) == {low, high}
-    for lead, found in forms.items():
+    for found in forms.values():
         assert all(is_zero(e - found[0]) for e in found)
     # the first rewrite decides the normal form: the system is not coherent
     assert is_zero(forms[high][0] - deterministic)
