@@ -87,11 +87,18 @@ class _Runner:
         self.checks.append(CheckResult(label, "pass" if ok else "fail", note))
 
     def zero_check(self, label, expr, space, system=None):
-        """Symbolic zero plus the 100-point numeric confirmation."""
+        """Symbolic zero plus the 100-point numeric confirmation.  A non-zero
+        normal form refutes only modulo a coherent system (or none); modulo
+        one not shown coherent it decides nothing and records error."""
         reduced = expr if system is None else system.reduce(expr)
         self.terms += len(reduced.num.terms)
         if not reduced.is_zero():
-            self.add(label, False)
+            if system is None or system.coherent:
+                self.add(label, False)
+            else:
+                self.checks.append(CheckResult(
+                    label, "error", "not decided: non-zero normal form modulo "
+                                    "a system not shown coherent"))
             return
         worst = numoracle.confirm_zero(expr, space, self.seed, points=100,
                                        system=system, walks=self.walks)
@@ -276,14 +283,12 @@ def _c7(r, n):
 
 
 def _c8(r, n):
+    m = transform.build_map("C_MR", n)
     chs = hier.ch_space(n)
     system = reduction.standard_systems("CH", n)
-    p = chs.expr("P")
-    w1 = chs.expr("Omega", 1)
-    w_img = Fraction(1, 2) * (chs.expr("Omega", 1, X=1) + w1)
-    slope = RatExpr.const(1) - chs.expr("P", X=1) / p
-    expr = (total_derivative(slope, "T")
-            - total_derivative(w_img - Fraction(1, 2) * w1 * slope, "X"))
+    x_X = chs.expr("P") / m.jet_image(m.source.jet("u"))
+    x_T = m.jet_image(m.source.jet("w", 1)) - Fraction(1, 2) * chs.expr("Omega", 1) * x_X
+    expr = total_derivative(x_X, "T") - total_derivative(x_T, "X")
     r.zero_check("d^2 x = 0 cross-derivative modulo CH", expr, chs, system=system)
 
 

@@ -21,7 +21,17 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_ENGINE = 3
 
-GEN_SYSTEMS = ("ch", "qiao", "bcbs", "bmcbs", "msys", "mcbs-sys", "cbs", "miura")
+# the equation family that `jetcalc gen --system NAME --n N` prints
+GENERATORS = {
+    "ch": hier.gen_ch,
+    "qiao": hier.gen_qiao,
+    "bcbs": lambda n: hier.gen_cbs_family(n).bcbs,
+    "bmcbs": lambda n: hier.gen_mcbs_family(n).bmcbs,
+    "msys": lambda n: hier.gen_cbs_family(n).msys,
+    "mcbs-sys": lambda n: hier.gen_mcbs_family(n).msys,
+    "cbs": lambda n: hier.gen_cbs_family(n).cbs,
+    "miura": hier.gen_miura_relations,
+}
 
 _SPACES = {
     "ch": hier.ch_space,
@@ -31,28 +41,8 @@ _SPACES = {
 }
 
 
-def _equations(system, n):
-    if system == "ch":
-        return hier.gen_ch(n)
-    if system == "qiao":
-        return hier.gen_qiao(n)
-    if system == "bcbs":
-        return list(hier.gen_cbs_family(n).bcbs)
-    if system == "msys":
-        return list(hier.gen_cbs_family(n).msys)
-    if system == "cbs":
-        return list(hier.gen_cbs_family(n).cbs)
-    if system == "bmcbs":
-        return list(hier.gen_mcbs_family(n).bmcbs)
-    if system == "mcbs-sys":
-        return list(hier.gen_mcbs_family(n).msys)
-    if system == "miura":
-        return hier.gen_miura_relations(n)
-    raise ValueError(f"unknown system {system!r}")
-
-
 def cmd_gen(args):
-    eqs = _equations(args.system, args.n)
+    eqs = GENERATORS[args.system](args.n)
     if args.format == "json":
         payload = [{
             "label": eq.label,
@@ -149,7 +139,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="print an equation family")
-    gen.add_argument("--system", required=True, choices=GEN_SYSTEMS)
+    gen.add_argument("--system", required=True, choices=GENERATORS)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--format", default="text", choices=("text", "latex", "json"))
     gen.set_defaults(func=cmd_gen)

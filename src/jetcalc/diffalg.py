@@ -16,10 +16,8 @@ with multiplication, so the leading and trailing monomials of q*d are those
 of q times those of d, and a divisor that fails the test cannot divide
 exactly.  In reduction, most trial divisions fail that test.  Exact
 division keeps its pending terms in a heap (after Monagan & Pearce, Sparse
-polynomial division using a heap), and the derivative of a quotient over a
-one-term denominator c*m is taken over c*m*r, with r the product of m's
-jets, instead of over the squared denominator.  Both give the same normalized values, with the terms in
-the same order, as the plain max-rescanning division and quotient rule.
+polynomial division using a heap); it gives the same quotient, with the
+terms in the same order, as the plain max-rescanning division.
 
 Spaces, fields and jets are canonical: a space's fields are created once,
 and each field hands out one JetVar per multi-index, so equality of jets and
@@ -600,9 +598,6 @@ class DiffPoly:
             return _POLY_ZERO
         self._check_space(other)
         glm, glc = other.leading()
-        # most calls fail on the first leading term: test it before the heap
-        if not glm.divides(self.leading()[0]):
-            return None
         work = dict(self.terms)
         pending = [_Pending(m) for m in work]
         heapify(pending)
@@ -872,26 +867,6 @@ class RatExpr:
                 f"variable {var!r} does not belong to space {space.name!r}")
         num, den = self.num, self.den
         dn = num.total_derivative(var)
-        if den.is_const():
-            return RatExpr.make(dn, den)
-        if len(den.terms) == 1:
-            # den = c*m: with r the product of m's jets, (m'/m)*r is a
-            # polynomial and (N/(c*m))' = (N'*r - N*(m'/m)*r) / (c*m*r).
-            # The terms go in as N'*den - N*den' would insert them, and
-            # normalising gives the same expression without den*den.
-            ((m, c),) = den.terms.items()
-            jets = tuple([(jet, 1) for jet, _ in m.factors])
-            q = {}
-            for idx, (jet, exp) in enumerate(m.factors):
-                dj = jet.derived(var)
-                if dj is not None:
-                    q[Monomial(_splice(jets, idx, dj))] = exp
-            if not q:
-                return RatExpr.make(dn, den)
-            r = Monomial(jets)
-            return RatExpr.make(
-                dn.mul(DiffPoly({r: 1}, den._space)).sub(num.mul(DiffPoly(q, den._space))),
-                DiffPoly({m.mul(r): c}, den._space))
         dd = den.total_derivative(var)
         if dd.is_zero():
             return RatExpr.make(dn, den)

@@ -1,15 +1,16 @@
 """Claim runner behavior: outcomes, vacuous cells, determinism, error paths."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from _helpers import reference_t0_first_image
-from jetcalc import claims, numoracle
+from jetcalc import claims, numoracle, transform
 from jetcalc import hierarchies as hier
 from jetcalc.claims import CLAIM_IDS, CheckResult, _derivative, run_all, run_claim
 from jetcalc.diffalg import RatExpr, prolong
-from jetcalc.reduction import RewriteSystem
+from jetcalc.reduction import RewriteSystem, standard_systems
 
 
 def test_c1_passes_at_n3():
@@ -119,6 +120,26 @@ def test_a_nonzero_reduction_fails_with_no_note():
     r.zero_check("nonzero", X0 + 1, R2)
     assert r.checks == [CheckResult("nonzero", "fail", "")]
     assert r.terms == 2
+
+
+def test_only_a_coherent_system_refutes():
+    # X_{T0,T2,T3} lies over two leads of the full BCBS system at n=3, which
+    # is not coherent: its non-zero normal form decides nothing.  Modulo one
+    # of those rules alone, a coherent system, the same input fails.
+    r3 = hier.r_space(3)
+    expr = r3.expr("X", T0=1, T2=1, T3=1)
+    full = standard_systems("BCBS", 3)
+    assert not full.coherent
+    r = claims._Runner("C3", 3, 0)
+    r.zero_check("full", expr, r3, system=full)
+    assert r.checks == [CheckResult("full", "error", "not decided: non-zero normal "
+                                    "form modulo a system not shown coherent")]
+    assert r.terms == 175
+    one_rule = RewriteSystem([full.rules[0]], full.ranking)
+    assert one_rule.coherent
+    r.zero_check("one rule", expr, r3, system=one_rule)
+    assert r.checks[1] == CheckResult("one rule", "fail", "")
+    assert claims._rep(r, 0.0).status == "error"
 
 
 def test_a_numeric_residual_above_the_tolerance_fails(monkeypatch):
@@ -297,6 +318,22 @@ def test_perturbing_msys_m0_flips_c3(monkeypatch):
     monkeypatch.setattr(hier, "gen_cbs_family", perturbed)
     rep = run_claim("C3", 3)
     assert {c.status for c in rep.checks} == {"fail"}
+
+
+def test_scaling_the_c_mr_w_images_fails_c8(monkeypatch):
+    images = transform._images
+
+    def scaled(which, n, src, tgt):
+        field_images, op_images = images(which, n, src, tgt)
+        if which == "C_MR":
+            for i in range(1, n + 1):
+                w = src.jet("w", i)
+                field_images[w] = Fraction(2, 3) * field_images[w]
+        return field_images, op_images
+
+    monkeypatch.setattr(transform, "_images", scaled)
+    rep = run_claim("C8", 2)
+    assert [c.status for c in rep.checks] == ["fail"]
 
 
 def test_claim_ids_complete():

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, report determinism."""
 
+import ast
 import hashlib
 import json
 import os
@@ -51,6 +52,15 @@ def test_verify_report_bytes_are_pinned(tmp_path):
     assert main(["verify", "--claim", "all", "--n-max", "4", "--jobs", "1",
                  "--report", str(report)]) == 0
     assert hashlib.md5(report.read_bytes()).hexdigest() == "922e541a1b1bc90655be9cab56a935ea"
+
+
+@pytest.mark.parametrize("seed", ["0", "3"])
+def test_verify_n_max_8_report_is_pinned_at_two_seeds(tmp_path, seed):
+    # the seed does not reach these bytes: both seeds give the same report
+    report = tmp_path / "report.json"
+    assert main(["verify", "--claim", "all", "--n-max", "8", "--jobs", "1",
+                 "--seed", seed, "--report", str(report)]) == 0
+    assert hashlib.md5(report.read_bytes()).hexdigest() == "b8886c149d10e56224cf0e0c0a254774"
 
 
 def test_gen_outputs_are_pinned(capsys):
@@ -202,3 +212,20 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    # pyproject.toml declares no dependencies; relative imports stay in jetcalc
+    package = Path(__file__).resolve().parents[1] / "src" / "jetcalc"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)

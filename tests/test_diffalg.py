@@ -335,7 +335,8 @@ def test_derivatives_match_the_reference_term_for_term():
 
 
 def test_monomial_denominator_with_negative_coefficient():
-    # the quotient rule over c*m with several jets, against the general rule
+    # a one-term denominator c*m with several jets and c < 0, against the
+    # reference quotient rule
     den = rx("-2*X_{T0}^2*X_{T1}")
     assert len(den.den.terms) == 1
     e = rx("3*X_{T0,T1}*X_{T0} - X_{T1}^2 + 5") / den
@@ -407,8 +408,8 @@ def test_divexact_matches_the_reference_step_for_step(monkeypatch):
 def test_term_cap_fires_in_the_monomial_denominator_derivative():
     e = rx("X_{T0,T1}*X_{T1} + X_{T0,T0}^2 + X_{T1,T1}*X_{T0} + 1") / rx("X_{T0}^2*X_{T1}")
     assert len(e.den.terms) == 1
-    # the numerator's derivative fits under the cap, the quotient's numerator
-    # (N'*r - N*(m'/m)*r, 10 terms) does not
+    # the numerator's derivative fits under the cap, the quotient rule's
+    # numerator N'*D - N*D' does not
     cap = 9
     assert len(e.num.total_derivative("T0").terms) <= cap
     with diffalg.limits(term_cap=cap):
