@@ -14,7 +14,10 @@ exact-division common denominators to keep denominator towers like
 trailing monomials divide the dividend's: the monomial order is compatible
 with multiplication, so the leading and trailing monomials of q*d are those
 of q times those of d, and a divisor that fails the test cannot divide
-exactly.  In reduction, most trial divisions fail that test.  Exact
+exactly.  A polynomial substitution into a RatExpr whose denominator is
+free of the jet substitutes into the numerator alone and then settles the
+quotient with one trial division; reduction.rewrite holds the denominator
+aside for a whole run of such substitutions and settles once.  Exact
 division keeps its pending terms in a heap (after Monagan & Pearce, Sparse
 polynomial division using a heap); it gives the same quotient, with the
 terms in the same order, as the plain max-rescanning division.
@@ -360,15 +363,12 @@ class Monomial:
         return Monomial(tuple(out))
 
     def without(self, jet):
-        """Split into (exponent of jet, remaining monomial)."""
-        e = 0
-        rest = []
-        for j, k in self.factors:
+        """Split into (exponent of jet, remaining monomial); a monomial
+        free of jet is its own remainder."""
+        for idx, (j, k) in enumerate(self.factors):
             if j is jet:
-                e = k
-            else:
-                rest.append((j, k))
-        return e, Monomial(tuple(rest))
+                return k, Monomial(self.factors[:idx] + self.factors[idx + 1:])
+        return 0, self
 
     def jets(self):
         return [j for j, _ in self.factors]
@@ -1013,19 +1013,27 @@ def proportional(a, b):
 
 
 def substitute_jet(e, jet, replacement):
-    """Replace every occurrence of jet in e by the given expression (exactly)."""
-    e = RatExpr._coerce(e)
+    """Replace every occurrence of jet in e by the given expression (exactly).
+
+    A DiffPoly e takes a polynomial replacement, one whose denominator is
+    constant, and gives a DiffPoly.  A RatExpr whose denominator is free of
+    jet takes the same route under a polynomial replacement: its numerator
+    is substituted alone and settled once over the unchanged denominator.
+    Otherwise numerator and denominator are substituted and then divided."""
     replacement = RatExpr._coerce(replacement)
+    polynomial = replacement.den.is_const()
+    if isinstance(e, DiffPoly):
+        if not polynomial:
+            raise ValueError("a DiffPoly takes only a replacement with a constant denominator")
+        return _substituted(e, jet, replacement)
+    e = RatExpr._coerce(e)
+    if polynomial and all(j is not jet for j in e.den.jets()):
+        return settle(_substituted(e.num, jet, replacement), e.den)
 
     def sub_poly(poly):
-        # mono = jet^k * rest, so a remainder occurs once per exponent
-        by_exp = {}
-        for mono, coeff in poly.terms.items():
-            k, rest = mono.without(jet)
-            by_exp.setdefault(k, {})[rest] = coeff
         out = RAT_ZERO
-        for k, bucket in sorted(by_exp.items()):
-            part = RatExpr.make(DiffPoly(bucket))
+        for k, part in _by_exponent(poly, jet):
+            part = RatExpr.make(part)
             if k:
                 part = part.mul(replacement.pow(k))
             out = out.add(part)
@@ -1034,6 +1042,53 @@ def substitute_jet(e, jet, replacement):
     num = sub_poly(e.num)
     den = sub_poly(e.den)
     return num.div(den)
+
+
+def _by_exponent(poly, jet):
+    """[(k, the polynomial of the remainders of poly's terms with jet^k)], in
+    ascending k; mono = jet^k * rest, so a remainder occurs once per k."""
+    by_exp = {}
+    for mono, coeff in poly.terms.items():
+        k, rest = mono.without(jet)
+        by_exp.setdefault(k, {})[rest] = coeff
+    return [(k, DiffPoly(bucket)) for k, bucket in sorted(by_exp.items())]
+
+
+def _substituted(poly, jet, replacement):
+    """poly with jet replaced by replacement, whose denominator is constant.
+
+    The buckets of _by_exponent are combined in ascending exponent, as
+    substitute_jet's general route builds its numerator, so the result has
+    that numerator's terms in the same order."""
+    out = None
+    for k, part in _by_exponent(poly, jet):
+        if k:
+            power = replacement.pow(k)
+            part = part.mul(power.num)
+            d = power.den.terms[_MONO_UNIT]
+            if d != 1:
+                part = DiffPoly({m: _over(c, d) for m, c in part.terms.items()}, part._space)
+        out = part if out is None else out.add(part)
+    return _POLY_ZERO if out is None else out
+
+
+def _over(c, d):
+    """c/d for a positive int d, as an int when it is integral."""
+    if type(c) is int:
+        q, r = divmod(c, d)
+        return Fraction(c, d) if r else q
+    c = c / d
+    return c.numerator if c.denominator == 1 else c
+
+
+def settle(num, den):
+    """RatExpr num/den, normalized after the one trial division of num by
+    den that RatExpr.mul makes."""
+    if num.terms and not den.is_const() and _may_divide(num, den):
+        q = num.divexact(den)
+        if q is not None:
+            return RatExpr.make(q)
+    return RatExpr.make(num, den)
 
 
 def prolong(images, base, jet, derive):

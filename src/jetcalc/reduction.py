@@ -20,6 +20,16 @@ leads; at n=3 the normal form of X_{T0,T2,T3} depends on which of its two
 matching rules is applied first, so that system is not coherent.  The
 default strategy is deterministic (highest-ranked matching jet first), and
 shuffle mode reruns with a randomized pick to surface any order dependence.
+
+All substitution runs in `rewrite`, which holds the denominator aside: while
+the picked jets stay out of it and their images are polynomials, as the CH
+images are, each step substitutes into the numerator alone, and the quotient
+is normalized, with one trial division, only when it must be.  The
+step-by-step loop it replaced normalized and trial-divided after every step.
+The deterministic strategy makes the same picks and reaches the same normal
+form as that loop.  Unless a factor of the held denominator cancels midway,
+which no claim input up to n = 8 does, both strategies also see the jets in
+the same order and give the terms of the result in the same order.
 """
 
 from __future__ import annotations
@@ -28,7 +38,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import hierarchies as hier
-from .diffalg import DiffAlgError, DiffPoly, JetVar, RatExpr, _limits, prolong, substitute_jet
+from .diffalg import (DiffAlgError, DiffPoly, JetVar, RatExpr, TermCapError, _limits, prolong,
+                      settle, substitute_jet)
 
 
 class ReductionError(DiffAlgError):
@@ -62,17 +73,56 @@ def rewrite(e, pick, image, what):
     finds none; each jet is replaced by image(how, jet).  The step cap of the
     enclosing diffalg.limits block is checked before the image is built: more
     than step_cap substitutions raise StepCapError "{what} exceeded {step_cap}
-    steps"."""
+    steps".
+
+    The denominator is held aside while it can be.  As long as each picked
+    jet is absent from e.den and its image has a constant denominator, each
+    step substitutes into the numerator polynomial alone, and pick sees the
+    unsettled quotient RatExpr(num, e.den).  The quotient is settled
+    (diffalg.settle: one trial division and one RatExpr.make) at the end,
+    before a step with a rational image, when a held step leaves zero, and
+    when pick picks a jet of the held denominator; if that settle cancelled
+    a factor, pick picks again from the settled expression.  A held step
+    that meets the term cap is settled and redone on the whole expression,
+    because the step-by-step loop may have divided the denominator out
+    earlier; otherwise every step is one substitute_jet call."""
     step_cap = _limits.get()[1]
     trace = []
+    num = den_jets = None   # while held: the substituted numerator over e.den
+
+    def settled():
+        return e if num is e.num else settle(num, e.den)
+
     while True:
-        picked = pick(e)
+        picked = pick(e if num is None else RatExpr(num, e.den))
+        if num is not None and (picked is None or picked[0] in den_jets):
+            held_den, e, num = e.den, settled(), None
+            if picked is not None and e.den.terms.keys() != held_den.terms.keys():
+                picked = pick(e)
         if picked is None:
             return e
         jet, how = picked
         if len(trace) == step_cap:
             raise StepCapError(f"{what} exceeded {step_cap} steps", trace[-12:])
-        e = substitute_jet(e, jet, image(how, jet))
+        rhs = image(how, jet)
+        polynomial = rhs.den.is_const()
+        if num is None and polynomial:
+            den_jets = set(e.den.jets())
+            if jet not in den_jets:
+                num = e.num
+        elif num is not None and not polynomial:
+            e, num = settled(), None
+        if num is None:
+            e = substitute_jet(e, jet, rhs)
+        else:
+            try:
+                num = substitute_jet(num, jet, rhs)
+            except TermCapError:
+                e, num = settled(), None
+                e = substitute_jet(e, jet, rhs)
+            if num is not None and not num.terms:
+                # a zero has no jets: pick must not see e.den's
+                e, num = settled(), None
         trace.append(jet)
 
 

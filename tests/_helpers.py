@@ -1,14 +1,16 @@
 """Shared test utilities: constrained samplers for transportable expressions,
 the reference numeric oracle, the reference monomial order, the reference
-exact core and the reference common-denominator search."""
+exact core, the reference common-denominator search and the reference
+step-by-step rewrite loop."""
 
 import math
 import random
 from fractions import Fraction
 
 from jetcalc.diffalg import (_POLY_ONE, RAT_ZERO, DiffPoly, Monomial, RatExpr,
-                             ZeroDivisionExprError)
+                             ZeroDivisionExprError, _limits)
 from jetcalc.numoracle import DEN_FLOOR, ZERO_TOL, SmallDenominatorError, TestFunction
+from jetcalc.reduction import StepCapError
 
 
 def transportable_jets(m, depth=2, evo_cap=1):
@@ -423,3 +425,44 @@ def reference_mul(self, other):
         if q is not None:
             n2, d1 = q, _POLY_ONE
     return RatExpr.make(n1.mul(n2), d1.mul(d2))
+
+
+# -- reference rewrite loop --------------------------------------------------
+# reduction.rewrite and diffalg.substitute_jet as they were before the rewrite
+# held its denominator aside: every step substitutes into numerator and
+# denominator and divides, so every intermediate expression is normalized.
+# Kept verbatim so that tests can demand the same expressions, with the terms
+# in the same order, and the same StepCapError traces.
+
+def reference_substitute_jet(e, jet, replacement):
+    e = RatExpr._coerce(e)
+    replacement = RatExpr._coerce(replacement)
+
+    def sub_poly(poly):
+        by_exp = {}
+        for mono, coeff in poly.terms.items():
+            k, rest = mono.without(jet)
+            by_exp.setdefault(k, {})[rest] = coeff
+        out = RAT_ZERO
+        for k, bucket in sorted(by_exp.items()):
+            part = RatExpr.make(DiffPoly(bucket))
+            if k:
+                part = part.mul(replacement.pow(k))
+            out = out.add(part)
+        return out
+
+    return sub_poly(e.num).div(sub_poly(e.den))
+
+
+def reference_rewrite(e, pick, image, what):
+    step_cap = _limits.get()[1]
+    trace = []
+    while True:
+        picked = pick(e)
+        if picked is None:
+            return e
+        jet, how = picked
+        if len(trace) == step_cap:
+            raise StepCapError(f"{what} exceeded {step_cap} steps", trace[-12:])
+        e = reference_substitute_jet(e, jet, image(how, jet))
+        trace.append(jet)

@@ -8,9 +8,10 @@ import pytest
 
 from _helpers import (random_poly_from, reference_add, reference_divexact,
                       reference_make, reference_mono_cmp, reference_mono_div, reference_mul,
-                      reference_ratexpr_derivative, reference_total_derivative,
+                      reference_ratexpr_derivative, reference_rewrite,
+                      reference_substitute_jet, reference_total_derivative,
                       transportable_jets)
-from jetcalc import diffalg
+from jetcalc import diffalg, reduction
 from jetcalc.diffalg import (
     Cofactor, DiffAlgError, DiffPoly, JetVar, Monomial, RatExpr, SpaceMismatchError,
     TermCapError, UnknownVariableError, ZeroDivisionExprError, combine, equivalent,
@@ -234,6 +235,15 @@ def test_substitute_jet_exact():
     e = chx("P_{T}^2 + P_{T}*Omega[1] + 3")
     out = substitute_jet(e, CH.jet("P", T=1), chx("Omega[1]_{X}"))
     assert is_zero(out - chx("Omega[1]_{X}^2 + Omega[1]_{X}*Omega[1] + 3"))
+
+
+def test_a_polynomial_takes_only_a_polynomial_replacement():
+    poly = chx("P_{T}^2 + P_{T}*Omega[1] + 3").num
+    out = substitute_jet(poly, CH.jet("P", T=1), chx("Omega[1]_{X}/2 + 1"))
+    assert isinstance(out, DiffPoly)
+    assert RatExpr.make(out) == chx("(Omega[1]_{X}/2 + 1)^2 + (Omega[1]_{X}/2 + 1)*Omega[1] + 3")
+    with pytest.raises(ValueError, match="constant denominator"):
+        substitute_jet(poly, CH.jet("P", T=1), chx("1/Omega[1]_{X}"))
 
 
 def test_canonical_text_is_stable():
@@ -490,10 +500,10 @@ def test_the_monomial_test_raises_where_divexact_raises():
     assert str(got.value) == str(want.value)
 
 
-def _arithmetic(cases):
+def _arithmetic(cases, substitute):
     out = []
     for a, b, jet in cases:
-        out += [a.add(b), b.add(a), a.mul(b), b.mul(a), a.div(b), substitute_jet(a, jet, b)]
+        out += [a.add(b), b.add(a), a.mul(b), b.mul(a), a.div(b), substitute(a, jet, b)]
     return out
 
 
@@ -504,30 +514,47 @@ def test_add_mul_div_and_substitution_match_the_unguarded_reference(monkeypatch)
         for _ in range(50):
             a, b, c = (random_expr(space, rng, rational=True) for _ in range(3))
             # shared factors, so that both directions of add and both
-            # cancellations of mul find a divisor some of the time
-            for x, y in ((a, b), (a.mul(c), b.div(c)), (a.div(c), b.div(c.mul(a)))):
+            # cancellations of mul find a divisor some of the time; b's
+            # numerator over 1 or 2 is a polynomial replacement, which
+            # substitute_jet puts into a's numerator alone when a's
+            # denominator is free of the jet
+            for x, y in ((a, b), (a.mul(c), b.div(c)), (a.div(c), b.div(c.mul(a))),
+                         (a.div(c), RatExpr.make(b.num)),
+                         (a.mul(c).div(b), RatExpr.make(c.num, DiffPoly.const(2)))):
                 jets = list(x.jets())
                 if jets and not y.is_zero():
                     cases.append((x, y, rng.choice(jets)))
-    assert len(cases) > 400
-    got = _arithmetic(cases)
+            # a numerator that the denominator divides once substituted
+            jet = diffalg.random_jet(space, rng)
+            if jet not in set(c.jets()):
+                cases.append((RatExpr.from_jet(jet).div(c), RatExpr.make(c.num.mul(b.num)), jet))
+    held = [(x, y, jet) for x, y, jet in cases
+            if y.den.is_const() and jet not in set(x.den.jets())]
+    assert len(cases) > 1000 and len(held) > 300
+    got = _arithmetic(cases, substitute_jet)
     monkeypatch.setattr(RatExpr, "add", reference_add)
     monkeypatch.setattr(RatExpr, "mul", reference_mul)
-    want = _arithmetic(cases)
+    want = _arithmetic(cases, reference_substitute_jet)
     for g, w in zip(got, want):
         _same_expr(g, w)
 
 
-def test_normal_forms_make_no_trial_division_the_monomial_test_rules_out(monkeypatch):
-    # C9's shape: C_MR images at n=3 reduced modulo CH.  Every common
-    # denominator that reduction tries must pass the leading and trailing
-    # monomial test; tried unguarded, 41 of these 53 trial divisions fail it.
+def _c9_shape():
+    """C9's shape: C_MR images at n=3 reduced modulo CH; the map, the system
+    and the pre-images."""
     m = build_map("C_MR", 3)
     rng = random.Random(31)
     exprs = [gen_qiao(3)[1].residual]
     exprs += [random_poly_from(transportable_jets(m), rng, max_factors=1, max_exp=1)
               for _ in range(6)]
-    system = standard_systems("CH", 3)
+    return m, standard_systems("CH", 3), exprs
+
+
+def test_normal_forms_make_no_trial_division_the_monomial_test_rules_out(monkeypatch):
+    # Every common denominator that reduction tries must pass the leading
+    # and trailing monomial test; tried unguarded, 41 of these 53 trial
+    # divisions fail it.
+    m, system, exprs = _c9_shape()
     calls = []
     divexact = DiffPoly.divexact
 
@@ -549,3 +576,39 @@ def test_normal_forms_make_no_trial_division_the_monomial_test_rules_out(monkeyp
     ruled_out = [(n, d) for n, d in calls
                  if not (lead(d).divides(lead(n)) and trail(d).divides(trail(n)))]
     assert ruled_out == []
+
+
+def test_a_polynomial_image_reduce_trial_divides_once_by_its_held_denominator(monkeypatch):
+    # the step-by-step loop tested every substituted numerator against the
+    # denominator; the held loop tests once, when it settles
+    m, system, exprs = _c9_shape()
+    images = [m.transport(e) for e in exprs]
+    tested, polynomial = [], []
+    may_divide, substitute = diffalg._may_divide, reduction.substitute_jet
+
+    def recorded_test(num, den):
+        tested.append(den)
+        return may_divide(num, den)
+
+    def recorded_substitute(e, jet, rhs):
+        polynomial.append(rhs.den.is_const())
+        return substitute(e, jet, rhs)
+
+    def trials():
+        out = []
+        for image in images:
+            tested.clear()
+            system.reduce(image)
+            out.append(sum(den == image.den for den in tested))
+        return out
+
+    monkeypatch.setattr(diffalg, "_may_divide", recorded_test)
+    monkeypatch.setattr(reduction, "substitute_jet", recorded_substitute)
+    held = trials()
+    assert all(polynomial) and len(polynomial) == 4
+    monkeypatch.setattr(reduction, "rewrite", reference_rewrite)
+    step_by_step = trials()
+    # E_Q1's image (the first) reduces to zero in two steps: the old loop
+    # trial-divided after the first, the held loop settles only a zero
+    assert step_by_step == [1, 0, 2, 0, 0, 0, 0]
+    assert held == [0, 0, 1, 0, 0, 0, 0]

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from _helpers import random_poly_from
-from jetcalc import diffalg, reduction
-from jetcalc.diffalg import DiffAlgError, is_zero, substitute_jet, total_derivative
+from _helpers import random_poly_from, reference_rewrite, transportable_jets
+from jetcalc import claims, diffalg, reduction
+from jetcalc.diffalg import (DiffAlgError, DiffPoly, TermCapError, is_zero, substitute_jet,
+                             total_derivative)
 from jetcalc.exprio import parse
 from jetcalc.hierarchies import (ch_space, gen_cbs_family, gen_ch,
                                  gen_miura_relations, gen_qiao, r_space)
@@ -295,3 +296,209 @@ def test_ranking_orders_time_derivatives_first():
     assert ranking.key(CH2.jet("P", X=1)) > ranking.key(CH2.jet("Omega", 1, X=1))
     r3 = JetRanking(r_space(3))
     assert r3.key(r_space(3).jet("X", T0=1, T3=1)) > r3.key(r_space(3).jet("X", T0=3, T2=1))
+
+
+# -- the held denominator against the step-by-step loop ------------------------
+
+def _outcome(run):
+    """run()'s expression, terms in dict order, or its StepCapError trace."""
+    try:
+        e = run()
+    except StepCapError as exc:
+        return "StepCapError", exc.trace
+    return list(e.num.terms.items()), list(e.den.terms.items())
+
+
+def _outcomes_of_both_loops(monkeypatch, runs):
+    """[(outcome with the held denominator, outcome of reference_rewrite)]."""
+    got = [_outcome(run) for run in runs]
+    with monkeypatch.context() as patched:
+        patched.setattr(reduction, "rewrite", reference_rewrite)
+        want = [_outcome(run) for run in runs]
+    return list(zip(got, want))
+
+
+def _both_modes(system, e, cap=None):
+    """Deterministic and shuffle-mode reductions of e, under a step cap."""
+    def run(rng_seed):
+        with diffalg.limits(step_cap=cap or diffalg.DEFAULT_STEP_CAP):
+            return system.reduce(e, rng=None if rng_seed is None else random.Random(rng_seed))
+    return [lambda: run(None), lambda: run(5)]
+
+
+def _c9_shape_inputs(n):
+    m = build_map("C_MR", n)
+    exprs = []
+    for eq in gen_qiao(n):
+        resid = eq.residual
+        exprs.append(resid.total_derivative("x") if eq.label == f"E_Q{n}n" else resid)
+    rng = random.Random(23)
+    jets = transportable_jets(m)
+    exprs += [random_poly_from(jets, rng, max_factors=1, max_exp=1) for _ in range(8)]
+    return [m.transport(e) for e in exprs]
+
+
+def _b_ch_derivative_law_gaps():
+    m = build_map("B_CH", 2)
+    rng = random.Random(29)
+    jets = transportable_jets(m)
+    gaps = []
+    for _ in range(8):
+        f = random_poly_from(jets, rng, max_factors=1, max_exp=1)
+        var = rng.choice(sorted(m.op_images))
+        gaps.append(m.transport(f.total_derivative(var)).sub(m.derive(m.transport(f), var)))
+    return gaps
+
+
+def test_held_denominator_matches_the_step_by_step_loop_on_c9_and_law_gaps(monkeypatch):
+    runs = []
+    held = []
+    for system, inputs in ((standard_systems("CH", 3), _c9_shape_inputs(3)),
+                           (standard_systems("CH", 2), _b_ch_derivative_law_gaps())):
+        for e in inputs:
+            runs += _both_modes(system, e) + _both_modes(system, e, cap=2)
+    substitute = reduction.substitute_jet
+
+    def recorded(e, jet, rhs):
+        held.append(isinstance(e, DiffPoly))
+        return substitute(e, jet, rhs)
+
+    monkeypatch.setattr(reduction, "substitute_jet", recorded)
+    pairs = _outcomes_of_both_loops(monkeypatch, runs)
+    assert sum(held) > 100
+    assert sum(want[0] == "StepCapError" for _, want in pairs) > 10
+    for got, want in pairs:
+        assert got == want
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_held_denominator_matches_the_step_by_step_loop_on_c3_and_c5(monkeypatch, n):
+    bcbs = standard_systems("BCBS", n)
+    runs = []
+    for i, rule in enumerate(bcbs.rules, start=1):
+        one_rule = RewriteSystem([rule], bcbs.ranking)
+        for substituted in (claims._substituted_cbs, claims._miura_substituted_bmcbs):
+            runs.append(lambda substituted=substituted, i=i: substituted(n, i))
+            e = substituted(n, i)
+            runs += _both_modes(one_rule, e) + _both_modes(one_rule, e, cap=2)
+    for got, want in _outcomes_of_both_loops(monkeypatch, runs):
+        assert got == want
+
+
+def _rewrite_by_priority(e, images, order):
+    """rewrite with a pick that takes the first jet of order that e carries,
+    so that it picks the same jet whatever order e's jets come in."""
+    def pick(e):
+        present = set(e.jets())
+        return next(((jet, None) for jet in order if jet in present), None)
+
+    return reduction.rewrite(e, pick, lambda _, jet: images[jet], "test")
+
+
+def _with_reference(monkeypatch, run):
+    with monkeypatch.context() as patched:
+        patched.setattr(reduction, "rewrite", reference_rewrite)
+        return run()
+
+
+def _jets(*texts):
+    return [parse(t, CH2).num.leading()[0].factors[0][0] for t in texts]
+
+
+def _divisible_midway():
+    """(P + 1) divides the numerator once Omega[1] is substituted; then the
+    quotient grows, over a constant denominator of 2."""
+    a, b, w = _jets("Omega[1]", "Omega[2]", "Omega[1]_{X}")
+    images = {a: parse("(P + 1)*Omega[1]_{X}", CH2),
+              b: parse("Omega[2]_{X} + 3", CH2),
+              w: parse("(Omega[2]_{X}^2 + Omega[1]_{X,X} + Omega[2]_{X,X} + P_{X} + 1)/2", CH2)}
+    e = parse("(Omega[1]*Omega[2] + Omega[1])/(P + 1)", CH2)
+    return e, images, [a, b, w]
+
+
+def test_a_numerator_the_denominator_divides_midway_settles_to_the_same_value(monkeypatch):
+    e, images, order = _divisible_midway()
+    want = _with_reference(monkeypatch, lambda: _rewrite_by_priority(e, images, order))
+    got = _rewrite_by_priority(e, images, order)
+    assert want.den.is_const() and got == want
+
+
+def test_a_monomial_common_to_both_sides_midway_cancels_in_the_same_order(monkeypatch):
+    a, c, w = _jets("Omega[1]", "Omega[2]", "Omega[1]_{X}")
+    images = {a: parse("P*Omega[1]_{X}", CH2), c: parse("P*Omega[2]_{X}/2", CH2),
+              w: parse("Omega[2]_{X}^2 + 1", CH2)}
+    e = parse("(Omega[1] + Omega[2])/(P*Omega[2]_{X,X} + P)", CH2)
+
+    def run():
+        return _rewrite_by_priority(e, images, [a, c, w])
+
+    want = _with_reference(monkeypatch, run)
+    got = run()
+    # P cancelled: the denominator is a multiple of Omega[2]_{X,X} + 1
+    assert set(want.den.terms) == set(parse("Omega[2]_{X,X} + 1", CH2).num.terms)
+    assert _outcome(lambda: got) == _outcome(lambda: want)
+
+
+def test_a_rule_led_jet_in_the_denominator_is_substituted_as_in_the_step_by_step_loop(
+        monkeypatch):
+    # P_{X,T} goes into the held numerator; P_{T}, which the denominator
+    # carries, settles it first
+    e = parse("(P_{X,T} + Omega[1]_{X,X,X}*P)/(P_{T} + P)", CH2)
+    system = standard_systems("CH", 2)
+    routes = []
+    substitute = reduction.substitute_jet
+
+    def recorded(e, jet, rhs):
+        routes.append("held" if isinstance(e, DiffPoly) else
+                      "denominator" if jet in set(e.den.jets()) else "numerator")
+        return substitute(e, jet, rhs)
+
+    monkeypatch.setattr(reduction, "substitute_jet", recorded)
+    runs = [run for cap in (None, 1, 2, 3) for run in _both_modes(system, e, cap)]
+    for got, want in _outcomes_of_both_loops(monkeypatch, runs):
+        assert got == want
+    assert {"held", "denominator"} <= set(routes)
+
+
+def test_a_settle_that_cancels_a_picked_denominator_jet_picks_again(monkeypatch):
+    # once (P + 1) divides out, P is gone: the step-by-step loop never
+    # substitutes it, so neither may the held loop
+    a, p, w = _jets("Omega[1]", "P", "Omega[1]_{X}")
+    images = {a: parse("(P + 1)*Omega[1]_{X}", CH2), p: parse("Omega[2] + 5", CH2),
+              w: parse("Omega[2]_{X} + 1", CH2)}
+    e = parse("Omega[1]/(P + 1)", CH2)
+    for cap in (1, 2, 3):
+        def run():
+            with diffalg.limits(step_cap=cap):
+                return _rewrite_by_priority(e, images, [a, p, w])
+        assert _outcome(run) == _with_reference(monkeypatch, lambda: _outcome(run))
+
+
+def test_a_term_cap_the_step_by_step_loop_meets_is_met_after_a_midway_division(monkeypatch):
+    e, images, order = _divisible_midway()
+
+    def run(cap):
+        with diffalg.limits(term_cap=cap):
+            return _rewrite_by_priority(e, images, order)
+
+    def reference_passes(cap):
+        try:
+            _with_reference(monkeypatch, lambda: run(cap))
+        except TermCapError:
+            return False
+        return True
+
+    need = next(cap for cap in range(1, 100) if reference_passes(cap))
+    caught = []
+    substitute = reduction.substitute_jet
+
+    def recorded(e, jet, rhs):
+        try:
+            return substitute(e, jet, rhs)
+        except TermCapError:
+            caught.append(jet)
+            raise
+
+    monkeypatch.setattr(reduction, "substitute_jet", recorded)
+    assert run(need) == _with_reference(monkeypatch, lambda: run(need))
+    assert caught
