@@ -14,13 +14,12 @@ exact-division common denominators to keep denominator towers like
 trailing monomials divide the dividend's: the monomial order is compatible
 with multiplication, so the leading and trailing monomials of q*d are those
 of q times those of d, and a divisor that fails the test cannot divide
-exactly.  A polynomial substitution into a RatExpr whose denominator is
-free of the jet substitutes into the numerator alone and then settles the
-quotient with one trial division; reduction.rewrite holds the denominator
-aside for a whole run of such substitutions and settles once.  Exact
-division keeps its pending terms in a heap (after Monagan & Pearce, Sparse
-polynomial division using a heap); it gives the same quotient, with the
-terms in the same order, as the plain max-rescanning division.
+exactly.  reduction.rewrite holds the denominator aside for a whole run
+of polynomial substitutions into the numerator alone and then settles the
+quotient with one trial division.  Exact division keeps its pending terms
+in a heap (after Monagan & Pearce, Sparse polynomial division using a
+heap); it gives the same quotient, with the terms in the same order, as
+the plain max-rescanning division.
 
 Spaces, fields and jets are canonical: a space's fields are created once,
 and each field hands out one JetVar per multi-index, so equality of jets and
@@ -533,7 +532,9 @@ class DiffPoly:
             return _POLY_ZERO
         if c == 1:
             return self
-        return DiffPoly({m: c * q for m, q in self.terms.items()}, self._space)
+        if type(c) is int:
+            return DiffPoly({m: c * q for m, q in self.terms.items()}, self._space)
+        return DiffPoly({m: _exact(c * q) for m, q in self.terms.items()}, self._space)
 
     def mul(self, other):
         self._check_space(other)
@@ -654,7 +655,8 @@ def _exact(c):
     """c as an int when it is integral, else as a Fraction."""
     if type(c) is int:
         return c
-    c = Fraction(c)
+    if type(c) is not Fraction:
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -1016,19 +1018,15 @@ def substitute_jet(e, jet, replacement):
     """Replace every occurrence of jet in e by the given expression (exactly).
 
     A DiffPoly e takes a polynomial replacement, one whose denominator is
-    constant, and gives a DiffPoly.  A RatExpr whose denominator is free of
-    jet takes the same route under a polynomial replacement: its numerator
-    is substituted alone and settled once over the unchanged denominator.
-    Otherwise numerator and denominator are substituted and then divided."""
+    constant, and gives a DiffPoly; reduction.rewrite substitutes a held
+    numerator this way.  For a RatExpr e, numerator and denominator are
+    substituted and then divided."""
     replacement = RatExpr._coerce(replacement)
-    polynomial = replacement.den.is_const()
     if isinstance(e, DiffPoly):
-        if not polynomial:
+        if not replacement.den.is_const():
             raise ValueError("a DiffPoly takes only a replacement with a constant denominator")
         return _substituted(e, jet, replacement)
     e = RatExpr._coerce(e)
-    if polynomial and all(j is not jet for j in e.den.jets()):
-        return settle(_substituted(e.num, jet, replacement), e.den)
 
     def sub_poly(poly):
         out = RAT_ZERO
@@ -1064,21 +1062,9 @@ def _substituted(poly, jet, replacement):
     for k, part in _by_exponent(poly, jet):
         if k:
             power = replacement.pow(k)
-            part = part.mul(power.num)
-            d = power.den.terms[_MONO_UNIT]
-            if d != 1:
-                part = DiffPoly({m: _over(c, d) for m, c in part.terms.items()}, part._space)
+            part = part.mul(power.num).scale(1 / power.den.const_value())
         out = part if out is None else out.add(part)
     return _POLY_ZERO if out is None else out
-
-
-def _over(c, d):
-    """c/d for a positive int d, as an int when it is integral."""
-    if type(c) is int:
-        q, r = divmod(c, d)
-        return Fraction(c, d) if r else q
-    c = c / d
-    return c.numerator if c.denominator == 1 else c
 
 
 def settle(num, den):

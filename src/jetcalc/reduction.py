@@ -28,8 +28,8 @@ is normalized, with one trial division, only when it must be.  The
 step-by-step loop it replaced normalized and trial-divided after every step.
 The deterministic strategy makes the same picks and reaches the same normal
 form as that loop.  Unless a factor of the held denominator cancels midway,
-which no claim input up to n = 8 does, both strategies also see the jets in
-the same order and give the terms of the result in the same order.
+both strategies also see the jets in the same order and give the terms of
+the result in the same order.
 """
 
 from __future__ import annotations

@@ -516,7 +516,7 @@ def test_add_mul_div_and_substitution_match_the_unguarded_reference(monkeypatch)
             # shared factors, so that both directions of add and both
             # cancellations of mul find a divisor some of the time; b's
             # numerator over 1 or 2 is a polynomial replacement, which
-            # substitute_jet puts into a's numerator alone when a's
+            # reduction.rewrite puts into a's numerator alone when a's
             # denominator is free of the jet
             for x, y in ((a, b), (a.mul(c), b.div(c)), (a.div(c), b.div(c.mul(a))),
                          (a.div(c), RatExpr.make(b.num)),
@@ -532,9 +532,13 @@ def test_add_mul_div_and_substitution_match_the_unguarded_reference(monkeypatch)
             if y.den.is_const() and jet not in set(x.den.jets())]
     assert len(cases) > 1000 and len(held) > 300
     got = _arithmetic(cases, substitute_jet)
+    # the held route: the numerator alone, settled over the denominator
+    got += [diffalg.settle(substitute_jet(x.num, jet, y), x.den) for x, y, jet in held]
     monkeypatch.setattr(RatExpr, "add", reference_add)
     monkeypatch.setattr(RatExpr, "mul", reference_mul)
     want = _arithmetic(cases, reference_substitute_jet)
+    want += [reference_substitute_jet(x, jet, y) for x, y, jet in held]
+    assert len(got) == len(want)
     for g, w in zip(got, want):
         _same_expr(g, w)
 
@@ -552,7 +556,7 @@ def _c9_shape():
 
 def test_normal_forms_make_no_trial_division_the_monomial_test_rules_out(monkeypatch):
     # Every common denominator that reduction tries must pass the leading
-    # and trailing monomial test; tried unguarded, 41 of these 53 trial
+    # and trailing monomial test; tried unguarded, 39 of these 51 trial
     # divisions fail it.
     m, system, exprs = _c9_shape()
     calls = []
