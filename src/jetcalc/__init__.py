@@ -54,7 +54,7 @@ from .reduction import (
     reduce,
     standard_systems,
 )
-from .numoracle import JetPoint, TestFunction, eval_expr, fd_check, numeric_proportionality
+from .numoracle import TestFunction, fd_check, numeric_proportionality
 from .claims import CLAIM_IDS, VerificationReport, run_all, run_claim
 
 __version__ = "0.1.0"

@@ -178,35 +178,35 @@ def _eliminate(expr, images, base, what):
                              f"{what} substitution")
 
 
-def _substituted_cbs(n, i, fam=None):
+def _substituted_cbs(n, i, fam):
     """cbs_i with every M jet replaced by the corresponding T-derivatives of
     the X-expressions solved from the M equations (jets carrying a T0
     derivative come from msys_M0, bare M_j jets from msys_Mj).  fam is
-    gen_cbs_family(n), generated when not given."""
-    fam = hier.gen_cbs_family(n) if fam is None else fam
+    gen_cbs_family(n)."""
     rsp = hier.r_space(n)
     leads = [rsp.jet("M", T0=1)] + [rsp.jet("M", **{f"T{j}": 1}) for j in range(1, n)]
     images = {lead: reduction.orient(eq, lead).rhs for lead, eq in zip(leads, fam.msys)}
     return _eliminate(fam.cbs[i - 1].residual, images, leads[0], "M")
 
 
-def _modulo_each_bcbs_rule(r, n, label, why, substituted):
-    """One zero_check per i = 1..n-1 of substituted(i) modulo rule i of the
-    BCBS system alone: the one rule its reduction applies.  A single rule has
-    no critical pairs, so each system is coherent, and the numeric oracle
-    reads the lower rules' leads as free jets instead of cascading down them."""
-    if n == 1:
+def _modulo_each_bcbs_rule(r, cbs, label, why, substituted):
+    """One zero_check per i = 1..n-1 of substituted(i) modulo rule i alone of
+    the BCBS system oriented from cbs, a gen_cbs_family(n): the one rule its
+    reduction applies.  A single rule has no critical pairs, so each system
+    is coherent, and the numeric oracle reads the lower rules' leads as free
+    jets instead of cascading down them."""
+    if not cbs.bcbs:
         r.add("vacuous", True, why)
         return
-    system = reduction.standard_systems("BCBS", n)
+    system = reduction.bcbs_system(cbs)
     for i, rule in enumerate(system.rules, start=1):
         one_rule = reduction.RewriteSystem([rule], system.ranking)
-        r.zero_check(label.format(i), substituted(i), hier.r_space(n), system=one_rule)
+        r.zero_check(label.format(i), substituted(i), system.ranking.space, system=one_rule)
 
 
 def _c3(r, n):
     fam = hier.gen_cbs_family(n)
-    _modulo_each_bcbs_rule(r, n, "cbs_{} modulo bcbs", "no CBS equations at n=1",
+    _modulo_each_bcbs_rule(r, fam, "cbs_{} modulo bcbs", "no CBS equations at n=1",
                            lambda i: _substituted_cbs(n, i, fam))
 
 
@@ -224,15 +224,11 @@ def _c4(r, n):
           f"{closing.term_count()} terms: {exprio.print_text(closing)}")
 
 
-def _miura_substituted_bmcbs(n, i, fam=None, rels=None):
+def _miura_substituted_bmcbs(n, i, fam, rels):
     """bmcbs_i with x_{T(i+1)} solved from MIX2_i and every T0-carrying x
     jet replaced by the prolonged x_{T0} solved from HEIGHTS_R; more height
     substitutions than the step cap raise StepCapError.  fam is
-    gen_mcbs_family(n) and rels maps labels to gen_miura_relations(n), each
-    generated when not given."""
-    fam = hier.gen_mcbs_family(n) if fam is None else fam
-    if rels is None:
-        rels = {e.label: e for e in hier.gen_miura_relations(n)}
+    gen_mcbs_family(n) and rels maps labels to gen_miura_relations(n)."""
     rsp = hier.r_space(n)
     x_next = rsp.jet("x", **{f"T{i + 1}": 1})
     expr = substitute_jet(fam.bmcbs[i - 1].residual, x_next,
@@ -245,7 +241,8 @@ def _miura_substituted_bmcbs(n, i, fam=None, rels=None):
 def _c5(r, n):
     fam = hier.gen_mcbs_family(n)
     rels = {e.label: e for e in hier.gen_miura_relations(n)}
-    _modulo_each_bcbs_rule(r, n, "bmcbs_{} under the Miura substitutions",
+    _modulo_each_bcbs_rule(r, hier.gen_cbs_family(n),
+                           "bmcbs_{} under the Miura substitutions",
                            "no transformed middle equations at n=1",
                            lambda i: _miura_substituted_bmcbs(n, i, fam, rels))
 

@@ -32,8 +32,6 @@ earlier check's system left free still gets its own rule's value.  A run
 evaluates the test-function factors only when some free jet is missing,
 fills the slots in order, and appends every power that a program uses to a
 flat table of floats; the programs read their factors from that table.
-Evaluation at an explicit JetPoint runs a plan without a test function or a
-system, whose free jets are read from the point's values and never written.
 `SampleWalks` holds a cell's walks, one per (space, seed, stream); the
 claim runner creates one per cell, and confirm_zero and
 numeric_proportionality build a private one when given none.
@@ -53,7 +51,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, islice
@@ -71,17 +68,8 @@ class NumericError(DiffAlgError):
     pass
 
 
-class MissingJetError(NumericError):
-    pass
-
-
 class SmallDenominatorError(NumericError):
     pass
-
-
-@dataclass(frozen=True)
-class JetPoint:
-    values: dict
 
 
 class TestFunction:
@@ -213,8 +201,7 @@ class _Plan:
     (num, den) programs of the rule that leads the jet.  After filling a
     slot, a run appends the powers of its value listed in powers[i] to a
     table, and programs read their factors from that table.  programs[k]
-    is exprs[k]'s numerator and denominator.  Without a test function a
-    free jet's step is (None, None): its value must be known.
+    is exprs[k]'s numerator and denominator.
     """
 
     __slots__ = ("slot", "steps", "factors", "powers", "programs")
@@ -263,8 +250,6 @@ class _Plan:
         for jet, lowered in zip(slot, rhs):
             if lowered is not None:
                 self.steps.append((compiled(lowered[0]), compiled(lowered[1])))
-            elif tf is None:
-                self.steps.append((None, None))
             else:
                 self.steps.append(([(coeff, _gather([factor.setdefault(f, len(factor))
                                                      for f in fs]))
@@ -282,8 +267,6 @@ class _Plan:
             if b is None:
                 x = known.get(jet)
                 if x is None:
-                    if a is None:
-                        raise MissingJetError(f"no value for jet {jet.text()}")
                     if factors is None:
                         factors = [power * math.exp(rate * coords[var]) if phase is None
                                    else power * math.sin(rate * coords[var] + phase + shift)
@@ -354,26 +337,16 @@ class SampleWalks:
         return walk
 
 
-def _evaluate(e, point):
-    """(numerator, numerator terms, denominator) of e at a JetPoint, or of
-    one of a plan's programs at a _Sample of that plan; denominators below
-    the floor are rejected."""
-    if not isinstance(point, _Sample):
-        point = _Sample(_Plan(None, None, (RatExpr._coerce(e),)), None, point.values)
-        e = point.plan.programs[0]
-    num, den = e
-    return _quotient(num, den, point.table())
-
-
-def eval_expr(e, point):
-    """Evaluate at a JetPoint; denominators below the floor are rejected."""
-    num, _, den = _evaluate(e, point)
+def eval_expr(program, sample):
+    """The value of one of a plan's programs at a _Sample of that plan;
+    denominators below the floor are rejected."""
+    num, _, den = _quotient(*program, sample.table())
     return num / den
 
 
-def relative_residual(e, point):
+def relative_residual(program, sample):
     """|num| relative to the summed magnitude of the numerator's terms."""
-    num, terms, _ = _evaluate(e, point)
+    num, terms, _ = _quotient(*program, sample.table())
     return abs(num) / max(_scale(terms), 1e-300)
 
 
@@ -392,19 +365,20 @@ def _samples(walk, attempts, evaluate):
 
 
 def consistent_point(system, jets, tf, coords):
-    """JetPoint whose led jets are computed from the system's rule right sides.
+    """{jet: value} at coords, with led jets computed from the system's rule
+    right sides.
 
     Free jets take the test function's values; a jet matching a (prolonged)
     rule is evaluated from the rule instead, after the jets of its right
     side -- the ranking guarantees this bottoms out on free jets.  The
-    point holds every jet the evaluation reached, read from one program per
-    jet, since a run records only the free ones.
+    result holds every jet the evaluation reached, read from one program per
+    jet, since a run records only the free ones.  No check calls it; it stays
+    while perfbench's tracer names it.
     """
     slots = _Plan(tf, system, [RatExpr.from_jet(j) for j in jets]).slot
     plan = _Plan(tf, system, [RatExpr.from_jet(j) for j in slots])
     sample = _Sample(plan, coords, {})
-    return JetPoint({jet: eval_expr(program, sample)
-                     for jet, program in zip(slots, plan.programs)})
+    return {jet: eval_expr(program, sample) for jet, program in zip(slots, plan.programs)}
 
 
 def confirm_zero(e, space, seed, points=100, system=None, walks=None):

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import hierarchies as hier
-from .diffalg import (DiffAlgError, DiffPoly, JetVar, RatExpr, TermCapError, _limits, prolong,
-                      settle, substitute_jet)
+from .diffalg import (DiffAlgError, DiffPoly, JetVar, RatExpr, TermCapError, _by_exponent,
+                      _limits, prolong, settle, substitute_jet)
 
 
 class ReductionError(DiffAlgError):
@@ -162,28 +162,16 @@ def orient(eq, lead):
         if jet is lead:
             raise NonlinearLeadError(
                 f"{lead.text()} occurs in the denominator of {origin}")
-    # mono = lead^k * remainder, so a remainder occurs once per exponent
-    coeff_terms = {}
-    rest_terms = {}
-    for mono, c in residual.num.terms.items():
-        k, remainder = mono.without(lead)
-        if k == 0:
-            rest_terms[remainder] = c
-        elif k == 1:
-            if any(j is lead for j in remainder.jets()):
-                raise NonlinearLeadError(
-                    f"{lead.text()} occurs nonlinearly in {origin}")
-            coeff_terms[remainder] = c
-        else:
-            raise NonlinearLeadError(
-                f"{lead.text()} occurs with exponent {k} in {origin}")
-    if not coeff_terms:
+    parts = dict(_by_exponent(residual.num, lead))
+    k = max(parts, default=0)
+    if k > 1:
+        raise NonlinearLeadError(f"{lead.text()} occurs with exponent {k} in {origin}")
+    if 1 not in parts:
         raise LeadAbsentError(f"{lead.text()} is absent from {origin}")
-    coeff = DiffPoly(coeff_terms)
-    rest = DiffPoly(rest_terms)
+    rest = parts.get(0, DiffPoly({}))
     # the residual's denominator scales the lead coefficient and the remainder
     # identically, so the solved form is simply -rest/coeff
-    return RewriteRule(lead, RatExpr.make(rest.neg(), coeff), origin)
+    return RewriteRule(lead, RatExpr.make(rest.neg(), parts[1]), origin)
 
 
 class RewriteSystem:
@@ -269,12 +257,12 @@ def ch_system(n):
     return RewriteSystem(rules, JetRanking(space))
 
 
-def bcbs_system(n):
-    """Rules X_{T0,T(i+1)} solved from the transformed CH equations."""
-    if n < 2:
+def bcbs_system(fam):
+    """Rules X_{T0,T(i+1)} solved from the transformed CH equations of fam,
+    a gen_cbs_family(n)."""
+    if not fam.bcbs:
         raise ValueError("the transformed system needs n >= 2")
-    fam = hier.gen_cbs_family(n)
-    space = hier.r_space(n)
+    space = hier.r_space(fam.bcbs[0].n)
     rules = []
     for i, eq in enumerate(fam.bcbs, start=1):
         lead = space.jet("X", T0=1, **{f"T{i + 1}": 1})
@@ -288,5 +276,5 @@ def standard_systems(which, n):
     if which == "CH":
         return ch_system(n)
     if which == "BCBS":
-        return bcbs_system(n)
+        return bcbs_system(hier.gen_cbs_family(n))
     raise ValueError(f"unknown standard system {which!r}")

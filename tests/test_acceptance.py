@@ -17,8 +17,8 @@ import pytest
 from _helpers import random_poly_from
 from jetcalc.diffalg import is_zero, random_expr, total_derivative
 from jetcalc.exprio import parse, print_text
-from jetcalc.hierarchies import (ch_space, gen_ch, gen_qiao, mr_space,
-                                 q_space, r_space)
+from jetcalc.hierarchies import (ch_space, gen_cbs_family, gen_ch, gen_mcbs_family,
+                                 gen_miura_relations, gen_qiao, mr_space, q_space, r_space)
 from jetcalc.numoracle import FD_TOL, TestFunction, fd_check, numeric_proportionality
 from jetcalc.reduction import JetRanking, RewriteSystem, orient, standard_systems
 from jetcalc.transform import (DerivationMap, build_map, check_commutation,
@@ -92,8 +92,9 @@ def test_criterion_4_compatibility_and_miura_reductions(claim_matrix):
             assert all("pass" in line for line in rec["details"])
     from jetcalc.claims import _miura_substituted_bmcbs, _substituted_cbs
     bsys = standard_systems("BCBS", 2)
-    assert bsys.reduce(_substituted_cbs(2, 1)).is_zero()
-    assert bsys.reduce(_miura_substituted_bmcbs(2, 1)).is_zero()
+    rels = {e.label: e for e in gen_miura_relations(2)}
+    assert bsys.reduce(_substituted_cbs(2, 1, gen_cbs_family(2))).is_zero()
+    assert bsys.reduce(_miura_substituted_bmcbs(2, 1, gen_mcbs_family(2), rels)).is_zero()
     print("ACCEPTANCE 4 PASS: C3/C5 reduced residuals exactly zero for "
           "n=2..4, vacuous at n=1")
 

@@ -320,6 +320,20 @@ def test_perturbing_msys_m0_flips_c3(monkeypatch):
     assert {c.status for c in rep.checks} == {"fail"}
 
 
+def test_a_c3_cell_generates_the_cbs_family_once(monkeypatch):
+    # the family that gives the M images also gives the BCBS rules
+    generate = hier.gen_cbs_family
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return generate(n)
+
+    monkeypatch.setattr(hier, "gen_cbs_family", counted)
+    assert run_claim("C3", 4).status == "pass"
+    assert calls == [4]
+
+
 def test_scaling_the_c_mr_w_images_fails_c8(monkeypatch):
     images = transform._images
 

@@ -1,13 +1,14 @@
 """Generated equation families: counts, expanded forms, nesting."""
 
+from fractions import Fraction
+
 import pytest
 
-from jetcalc.diffalg import is_zero
+from jetcalc.diffalg import RatExpr, is_zero, substitute_jet
 from jetcalc.exprio import parse, print_text
 from jetcalc.hierarchies import (ch_space, gen_cbs_family, gen_ch,
                                  gen_mcbs_family, gen_miura_relations,
                                  gen_qiao, mr_space, q_space, r_space)
-from jetcalc.numoracle import JetPoint, eval_expr
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -72,14 +73,14 @@ def test_cbs_family_empty_at_n1():
 
 def test_m0_equation_at_flat_point():
     # At X = T0 (X_{T0}=1, all higher jets 0) the M_0 residual with M_{T0}=0
-    # evaluates to 1/8: the defining right side equals -1/8 there.
+    # is exactly 1/8: the defining right side equals -1/8 there.
     fam = gen_cbs_family(2)
     eq = [e for e in fam.msys if e.label == "msys_M0"][0]
-    sp = r_space(2)
-    values = {j: 0.0 for j in eq.residual.jets()}
-    values[sp.jet("X", T0=1)] = 1.0
-    got = eval_expr(eq.residual, JetPoint(values))
-    assert abs(got - 0.125) < 1e-15
+    flat = r_space(2).jet("X", T0=1)
+    got = eq.residual
+    for jet in eq.residual.jets():
+        got = substitute_jet(got, jet, RatExpr.const(1 if jet is flat else 0))
+    assert got == RatExpr.const(Fraction(1, 8))
 
 
 def test_mcbs_m0_equation_form():

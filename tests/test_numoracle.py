@@ -7,74 +7,58 @@ from fractions import Fraction
 import pytest
 
 from _helpers import (random_poly_from, reference_confirm_zero, reference_consistent_point,
-                      reference_jet_value, reference_numeric_proportionality)
+                      reference_evaluate, reference_jet_value,
+                      reference_numeric_proportionality)
 from jetcalc import claims, numoracle
 from jetcalc.diffalg import Cofactor, DiffPoly, RatExpr, proportional, random_expr
 from jetcalc.exprio import parse
 from jetcalc.hierarchies import ch_space, gen_cbs_family, gen_ch, q_space, r_space
-from jetcalc.numoracle import (FD_TOL, ZERO_TOL, JetPoint, MissingJetError,
-                               NumericError, SampleWalks, SmallDenominatorError,
-                               TestFunction, confirm_zero, consistent_point, eval_expr,
-                               fd_check, numeric_proportionality, relative_residual)
+from jetcalc.numoracle import (FD_TOL, ZERO_TOL, NumericError, SampleWalks,
+                               SmallDenominatorError, TestFunction, confirm_zero,
+                               consistent_point, eval_expr, fd_check, numeric_proportionality,
+                               relative_residual, sample_value)
 from jetcalc.reduction import JetRanking, RewriteRule, RewriteSystem, standard_systems
 from jetcalc.transform import build_map, transport
 
 R2 = r_space(2)
 
 
-def _point(space, mapping):
-    return JetPoint(dict(mapping))
+def _at(e, values):
+    """e lowered for a test function on R2, and a sample of that plan at
+    which every jet of e is a known free jet of the given value; a plan run
+    reads known values before the test function's."""
+    plan = numoracle._Plan(TestFunction(R2, 0), None, (e,))
+    return plan.programs[0], numoracle._Sample(plan, None, dict(values))
 
 
 def test_eval_square():
     e = parse("X_{T0}^2", R2)
-    p = _point(R2, {R2.jet("X", T0=1): 2.0})
-    assert eval_expr(e, p) == 4.0
+    assert eval_expr(*_at(e, {R2.jet("X", T0=1): 2.0})) == 4.0
 
 
 def test_eval_power_rule_example():
     e = parse("2*X_{T0}*X_{T0,T0}", R2)
-    p = _point(R2, {R2.jet("X", T0=1): 2.0, R2.jet("X", T0=2): 3.0})
-    assert eval_expr(e, p) == 12.0
-
-
-def test_eval_missing_jet():
-    e = parse("X_{T0}", R2)
-    with pytest.raises(MissingJetError):
-        eval_expr(e, _point(R2, {}))
+    assert eval_expr(*_at(e, {R2.jet("X", T0=1): 2.0, R2.jet("X", T0=2): 3.0})) == 12.0
 
 
 def test_eval_small_denominator():
     e = parse("1/X_{T0}", R2)
     with pytest.raises(SmallDenominatorError):
-        eval_expr(e, _point(R2, {R2.jet("X", T0=1): 1e-15}))
-
-
-def test_evaluation_at_a_jet_point_leaves_its_values_unchanged():
-    point = _point(R2, {R2.jet("X", T0=1): 2.0, R2.jet("X", T0=2): 1e-15})
-    before = dict(point.values)
-    assert eval_expr(parse("X_{T0}^2", R2), point) == 4.0
-    assert relative_residual(parse("X_{T0} - 2", R2), point) == 0.0
-    for check in (eval_expr, relative_residual):
-        with pytest.raises(SmallDenominatorError):
-            check(parse("X_{T0}/X_{T0,T0}", R2), point)
-        with pytest.raises(MissingJetError):
-            check(parse("X_{T0} + X_{T1}", R2), point)
-    assert point.values == before
+        eval_expr(*_at(e, {R2.jet("X", T0=1): 1e-15}))
 
 
 def test_testfunction_jets_solve_their_own_derivatives():
     tf = TestFunction(R2, seed=9)
     rng = random.Random(0)
     coords = tf.sample_coords(rng)
-    x1 = consistent_point(None, [R2.jet("X", T0=1)], tf, coords).values[R2.jet("X", T0=1)]
+    x1 = reference_jet_value(tf, R2.jet("X", T0=1), coords)
     h = 1e-5
     up = dict(coords)
     up["T0"] = coords["T0"] + h
     down = dict(coords)
     down["T0"] = coords["T0"] - h
-    fd = (consistent_point(None, [R2.jet("X")], tf, up).values[R2.jet("X")]
-          - consistent_point(None, [R2.jet("X")], tf, down).values[R2.jet("X")]) / (2 * h)
+    fd = (reference_jet_value(tf, R2.jet("X"), up)
+          - reference_jet_value(tf, R2.jet("X"), down)) / (2 * h)
     assert abs(x1 - fd) <= 1e-8 * max(1.0, abs(x1))
 
 
@@ -106,13 +90,19 @@ def test_fd_check_detects_wrong_derivative():
     rng = random.Random(3)
     coords = tf.sample_coords(rng)
     jets = set(e.jets()) | set(wrong.jets())
-    sym = eval_expr(wrong, consistent_point(None, jets, tf, coords))
+
+    def value(expr, coords):
+        values = reference_consistent_point(None, jets, tf, coords)
+        num, _, den = reference_evaluate(expr, values.__getitem__)
+        return num / den
+
+    sym = value(wrong, coords)
     h = 1e-3
 
     def at(offset):
         shifted = dict(coords)
         shifted["T0"] = coords["T0"] + offset
-        return eval_expr(e, consistent_point(None, jets, tf, shifted))
+        return value(e, shifted)
 
     fd = (4 * (at(h / 2) - at(-h / 2)) / h - (at(h) - at(-h)) / (2 * h)) / 3
     rel = abs(sym - fd) / max(1.0, abs(sym), abs(fd))
@@ -154,8 +144,7 @@ def test_relative_residual_scales_by_term_magnitude():
     e = parse("X_{T0} - X_{T0}", R2) + parse("X_{T1}", R2) - parse("X_{T1}", R2)
     assert e.is_zero()
     big = parse("1000000*X_{T0} + 1", R2)
-    p = _point(R2, {R2.jet("X", T0=1): 1.0})
-    assert relative_residual(big, p) == pytest.approx(
+    assert relative_residual(*_at(big, {R2.jet("X", T0=1): 1.0})) == pytest.approx(
         (1000000 + 1) / (1000000 + 1), rel=1e-12)
 
 
@@ -239,7 +228,7 @@ def test_consistent_point_is_bit_identical_to_the_reference():
         red = sys2.reduce(e)
         coords = tf.sample_coords(rng)
         wanted = set(e.jets()) | set(red.jets())
-        got = consistent_point(sys2, wanted, tf, coords).values
+        got = consistent_point(sys2, wanted, tf, coords)
         assert got == reference_consistent_point(sys2, wanted, tf, coords)
 
 
@@ -254,8 +243,23 @@ def test_consistent_point_without_a_system_is_bit_identical_to_the_reference():
             jets = list(random_expr(space, rng, max_terms=4, max_order=3).jets())
             if space is R2:
                 jets.append(R2.jet("x", T0=1, T1=2, T2=1))
-            got = consistent_point(None, jets, tf, coords).values
+            got = consistent_point(None, jets, tf, coords)
             assert got == {j: reference_jet_value(tf, j, coords) for j in jets}
+
+
+def test_sample_value_is_bit_identical_to_the_reference():
+    # off-shell values at the coordinates sample_value reports, with jets
+    # on three variables, which are zero, in the R2 expressions
+    rng = random.Random(17)
+    for space in (ch_space(2), q_space(2), R2):
+        for seed in range(5):
+            e = random_expr(space, rng, max_terms=4, max_order=3)
+            if space is R2:
+                e = e + R2.expr("x", T0=1, T1=2, T2=1)
+            coords, got = sample_value(e, space, seed)
+            tf = TestFunction(space, seed)
+            num, _, den = reference_evaluate(e, lambda j: reference_jet_value(tf, j, coords))
+            assert got == num / den
 
 
 def test_numeric_proportionality_is_bit_identical_to_the_reference():
@@ -310,17 +314,23 @@ def test_proportionality_checks_of_a_cell_share_one_walk(monkeypatch):
                                                         seed=runner.seed)
 
 
+def _rule_rejecting_the_first_point(seed):
+    """The coords of confirm_zero's first point at seed, and a system with
+    the one rule X_{T0,T1} -> 1/(X_{T0} - c), where c is the value of X_{T0}
+    at that point: the rule rejects the point for every check reading
+    X_{T0,T1}."""
+    tf = TestFunction(R2, seed)
+    coords = tf.sample_coords(random.Random(seed * 7919 + 13))
+    c = Fraction(reference_jet_value(tf, R2.jet("X", T0=1), coords))
+    rule = RewriteRule(R2.jet("X", T0=1, T1=1),
+                       RatExpr.const(1) / (R2.expr("X", T0=1) - c), "synthetic")
+    return coords, RewriteSystem([rule], JetRanking(R2))
+
+
 def test_a_led_jets_rejection_rejects_only_the_checks_that_read_it():
-    # the rule X_{T0,T1} -> 1/(X_{T0} - c), with c the value of X_{T0} at the
-    # walk's first point, rejects that point for every check reading X_{T0,T1}
     seed = 7
-    coords = TestFunction(R2, seed).sample_coords(random.Random(seed * 7919 + 13))
-    c = Fraction(consistent_point(None, [R2.jet("X", T0=1)], TestFunction(R2, seed),
-                                  coords).values[R2.jet("X", T0=1)])
+    coords, system = _rule_rejecting_the_first_point(seed)
     lead = R2.jet("X", T0=1, T1=1)
-    system = RewriteSystem(
-        [RewriteRule(lead, RatExpr.const(1) / (R2.expr("X", T0=1) - c), "synthetic")],
-        JetRanking(R2))
     reads = R2.expr("X", T0=1, T1=1) + R2.expr("X", T1=1)
     skips = R2.expr("X", T0=1) + R2.expr("X", T1=1)
     walks = SampleWalks()
@@ -334,8 +344,40 @@ def test_a_led_jets_rejection_rejects_only_the_checks_that_read_it():
     for e, got in zip((reads, skips, reads), results):
         assert got == reference_confirm_zero(e, R2, seed, points=1, system=system)
     assert results[0] != results[1]
-    assert results[1] == relative_residual(
-        skips, consistent_point(None, skips.jets(), TestFunction(R2, seed), coords))
+    values = reference_consistent_point(None, skips.jets(), TestFunction(R2, seed), coords)
+    num, scale, _ = reference_evaluate(skips, values.__getitem__)
+    assert results[1] == abs(num) / max(scale, 1e-300)
+
+
+def test_a_led_jets_rejection_leaves_through_relative_residual(monkeypatch):
+    # the plan runs inside relative_residual, so the led jet's
+    # SmallDenominatorError from _Plan.run passes through that public name,
+    # where a tracer wrapping it can count the rejected point
+    seed = 7
+    _, system = _rule_rejecting_the_first_point(seed)
+    original = numoracle.relative_residual
+    outcomes = []
+
+    def wrapped(*args):
+        try:
+            result = original(*args)
+        except SmallDenominatorError as exc:
+            outcomes.append(exc)
+            raise
+        outcomes.append(result)
+        return result
+
+    monkeypatch.setattr(numoracle, "relative_residual", wrapped)
+    reads = R2.expr("X", T0=1, T1=1) + R2.expr("X", T1=1)
+    got = confirm_zero(reads, R2, seed, points=1, system=system)
+    rejected, accepted = outcomes
+    assert accepted == got
+    assert isinstance(rejected, SmallDenominatorError)
+    tb, codes = rejected.__traceback__, []
+    while tb is not None:
+        codes.append(tb.tb_frame.f_code)
+        tb = tb.tb_next
+    assert numoracle._Plan.run.__code__ in codes
 
 
 def test_a_jet_free_in_one_system_is_computed_from_the_rule_of_a_system_that_leads_it():

@@ -4,14 +4,15 @@ import random
 
 import pytest
 
-from _helpers import random_poly_from, reference_rewrite, transportable_jets
+from _helpers import (random_poly_from, reference_consistent_point, reference_evaluate,
+                      reference_rewrite, transportable_jets)
 from jetcalc import claims, diffalg, reduction
 from jetcalc.diffalg import (DiffAlgError, DiffPoly, TermCapError, is_zero, substitute_jet,
                              total_derivative)
 from jetcalc.exprio import parse
-from jetcalc.hierarchies import (ch_space, gen_cbs_family, gen_ch,
+from jetcalc.hierarchies import (ch_space, gen_cbs_family, gen_ch, gen_mcbs_family,
                                  gen_miura_relations, gen_qiao, r_space)
-from jetcalc.numoracle import TestFunction, consistent_point, eval_expr
+from jetcalc.numoracle import TestFunction
 from jetcalc.reduction import (JetRanking, LeadAbsentError, NonlinearLeadError,
                                RankingViolationError, RewriteSystem,
                                StepCapError, orient, reduce, standard_systems)
@@ -277,9 +278,10 @@ def test_numeric_consistency_at_onshell_points():
         e = random_poly_from(jets, rng)
         red = reduce(sys2, e)
         coords = tf.sample_coords(rng)
-        point = consistent_point(sys2, set(e.jets()) | set(red.jets()), tf, coords)
-        v1 = eval_expr(e, point)
-        v2 = eval_expr(red, point)
+        values = reference_consistent_point(sys2, set(e.jets()) | set(red.jets()), tf, coords)
+        num1, _, den1 = reference_evaluate(e, values.__getitem__)
+        num2, _, den2 = reference_evaluate(red, values.__getitem__)
+        v1, v2 = num1 / den1, num2 / den2
         assert abs(v1 - v2) <= 1e-8 * max(1.0, abs(v1), abs(v2))
 
 
@@ -374,12 +376,15 @@ def test_held_denominator_matches_the_step_by_step_loop_on_c9_and_law_gaps(monke
 @pytest.mark.parametrize("n", [3, 4])
 def test_held_denominator_matches_the_step_by_step_loop_on_c3_and_c5(monkeypatch, n):
     bcbs = standard_systems("BCBS", n)
+    cbs, mcbs = gen_cbs_family(n), gen_mcbs_family(n)
+    rels = {e.label: e for e in gen_miura_relations(n)}
     runs = []
     for i, rule in enumerate(bcbs.rules, start=1):
         one_rule = RewriteSystem([rule], bcbs.ranking)
-        for substituted in (claims._substituted_cbs, claims._miura_substituted_bmcbs):
-            runs.append(lambda substituted=substituted, i=i: substituted(n, i))
-            e = substituted(n, i)
+        for substituted in (lambda i: claims._substituted_cbs(n, i, cbs),
+                            lambda i: claims._miura_substituted_bmcbs(n, i, mcbs, rels)):
+            runs.append(lambda substituted=substituted, i=i: substituted(i))
+            e = substituted(i)
             runs += _both_modes(one_rule, e) + _both_modes(one_rule, e, cap=2)
     for got, want in _outcomes_of_both_loops(monkeypatch, runs):
         assert got == want
@@ -502,3 +507,8 @@ def test_a_term_cap_the_step_by_step_loop_meets_is_met_after_a_midway_division(m
     monkeypatch.setattr(reduction, "substitute_jet", recorded)
     assert run(need) == _with_reference(monkeypatch, lambda: run(need))
     assert caught
+
+
+def test_the_bcbs_system_needs_two_components():
+    with pytest.raises(ValueError, match="the transformed system needs n >= 2"):
+        standard_systems("BCBS", 1)
