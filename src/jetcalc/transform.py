@@ -14,7 +14,8 @@ Five named maps are built here:
   R_Q   Q space  -> R space   reciprocal change dT0 = u dx - u w^(1) dt
   B_CH  R space  -> CH space  partial inverse (d_{Ti}, i >= 2 undefined)
   B_Q   R space  -> Q space   partial inverse (d_{Ti}, i >= 2 undefined)
-  C_MR  Q space  -> CH space  composite Miura-reciprocal change
+  C_MR  Q space  -> CH space  composite Miura-reciprocal change, built by
+                              compose(R_Q, compose(mu, B_CH)), mu = miura_map
 
 plus two internal composites used by the claim runner: back_mix_map (R -> MR,
 both partial inverses sharing the reciprocal-plane derivations) and
@@ -142,6 +143,28 @@ def transport(m, e):
     return m.transport(e)
 
 
+def compose(a, b):
+    """b after a: a's field images and derivation coefficients transported
+    through b, and each target direction of a replaced by b's derivation.
+    A direction of a that needs one that b leaves undefined is dropped."""
+    op_images = {var: tuple((b.transport(coeff).mul(inner), btv)
+                            for coeff, tv in pairs for inner, btv in b.op_images[tv])
+                 for var, pairs in a.op_images.items()
+                 if all(tv in b.op_images for _coeff, tv in pairs)}
+    field_images = {jet: b.transport(img) for jet, img in a.field_images.items()}
+    return DerivationMap(f"{b.name}.{a.name}", a.source, b.target, field_images, op_images)
+
+
+def miura_map(n):
+    """The Miura map mu (R -> R) of x = X + ln X_{T0}: x_{Ti} goes to
+    X_{Ti} + X_{T0,Ti}/X_{T0} for i = 0..n, and each Ti to itself."""
+    rs, one = hier.r_space(n), RatExpr.const(1)
+    X = [rs.expr("X", **{f"T{i}": 1}) for i in range(n + 1)]
+    field_images = {rs.jet("x", **{f"T{i}": 1}): Xi + total_derivative(Xi, "T0").div(X[0])
+                    for i, Xi in enumerate(X)}
+    return DerivationMap("MU", rs, rs, field_images, {v: ((one, v),) for v in rs.vars})
+
+
 # (source, target) space of each named map
 _ENDS = {
     "R_CH": (hier.ch_space, hier.r_space),
@@ -195,19 +218,15 @@ def _images(which, n, src, tgt):
             "T0": ((one.div(u), "x"),),
             "T1": ((one, "t"), (tgt.expr("w", 1), "x")),
         }
-    else:  # C_MR
-        P = tgt.expr("P")
-        gap = P - tgt.expr("P", X=1)
-        field_images = {src.jet("u"): (P * P).div(gap)}
-        for i in range(1, n + 1):
-            field_images[src.jet("w", i)] = \
-                Fraction(1, 2) * (tgt.expr("Omega", i, X=1) + tgt.expr("Omega", i))
-            field_images[src.jet("v", i, x=1)] = \
-                (tgt.expr("Omega", i, X=2) + tgt.expr("Omega", i, X=1)).div(2 * P)
-        op_images = {
-            "x": ((P.div(gap), "X"),),
-            "t": ((one, "T"), (tgt.expr("P", T=1).div(gap), "X")),
-        }
+    else:  # C_MR = B_CH . mu . R_Q, over src
+        rs = hier.r_space(n)
+        r_q = DerivationMap("R_Q", src, rs, *_images("R_Q", n, src, rs))
+        c_mr = compose(r_q, compose(miura_map(n), build_map("B_CH", n)))
+        field_images = c_mr.field_images
+        gap = tgt.expr("P") - tgt.expr("P", X=1)
+        # written out: the composite's t-derivation commutes only modulo CH
+        op_images = {"x": c_mr.op_images["x"],
+                     "t": ((one, "T"), (tgt.expr("P", T=1).div(gap), "X"))}
     return field_images, op_images
 
 

@@ -350,5 +350,53 @@ def test_scaling_the_c_mr_w_images_fails_c8(monkeypatch):
     assert [c.status for c in rep.checks] == ["fail"]
 
 
+def _double_u(field_images, n, src):
+    field_images[src.jet("u")] = 2 * field_images[src.jet("u")]
+
+
+def _scale_w(field_images, n, src):
+    for i in range(1, n + 1):
+        field_images[src.jet("w", i)] = Fraction(2, 3) * field_images[src.jet("w", i)]
+
+
+def _double_x_ti(field_images, n, src):
+    for i in range(1, n + 1):
+        jet = src.jet("X", **{f"T{i}": 1})
+        field_images[jet] = 2 * field_images[jet]
+
+
+@pytest.mark.parametrize("which, edit", [("R_Q", _double_u), ("R_Q", _scale_w),
+                                         ("B_CH", _double_x_ti)],
+                         ids=["R_Q-u", "R_Q-w", "B_CH-X_Ti"])
+def test_a_mutated_factor_of_c_mr_fails_c8_and_c9(monkeypatch, which, edit):
+    # C_MR is composed from R_Q and B_CH, so C9 sees a slip in either
+    images = transform._images
+
+    def mutated(name, n, src, tgt):
+        field_images, op_images = images(name, n, src, tgt)
+        if name == which:
+            edit(field_images, n, src)
+        return field_images, op_images
+
+    monkeypatch.setattr(transform, "_images", mutated)
+    assert run_claim("C8", 2).status == "fail"
+    assert run_claim("C9", 2).status == "fail"
+
+
+def test_dropping_the_log_term_of_the_miura_map_fails_c9(monkeypatch):
+    miura = transform.miura_map
+
+    def bare(n):
+        # x_{Ti} -> X_{Ti}, without X_{T0,Ti}/X_{T0}
+        mu = miura(n)
+        rs = mu.source
+        images = {rs.jet("x", **{f"T{i}": 1}): rs.expr("X", **{f"T{i}": 1})
+                  for i in range(n + 1)}
+        return transform.DerivationMap("MU_bare", rs, rs, images, mu.op_images)
+
+    monkeypatch.setattr(transform, "miura_map", bare)
+    assert run_claim("C9", 2).status == "fail"
+
+
 def test_claim_ids_complete():
     assert CLAIM_IDS == ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9")

@@ -7,12 +7,14 @@ import pytest
 from _helpers import random_poly_from, transportable_jets
 from jetcalc.diffalg import RatExpr, is_zero, substitute_jet
 from jetcalc.exprio import parse, print_text
-from jetcalc.hierarchies import ch_space, gen_ch, gen_qiao, q_space, r_space
-from jetcalc.reduction import JetRanking, RewriteSystem, orient, standard_systems
-from jetcalc.transform import (BelowDesignatedJetError, DerivationMap,
+from jetcalc.hierarchies import (ch_space, gen_cbs_family, gen_ch, gen_mcbs_family,
+                                 gen_miura_relations, gen_qiao, q_space, r_space)
+from jetcalc.reduction import (JetRanking, RewriteSystem, bcbs_system, orient,
+                               standard_systems)
+from jetcalc.transform import (BelowDesignatedJetError, DerivationMap, TransportError,
                                UndefinedDerivationError, back_mix_map,
-                               build_map, check_commutation, miura_mix_map,
-                               transport)
+                               build_map, check_commutation, compose, miura_map,
+                               miura_mix_map, transport)
 
 
 def test_r_ch_field_images():
@@ -171,7 +173,6 @@ def test_corrupted_map_detected():
 
 def test_transport_rejects_wrong_space():
     m = build_map("R_CH", 2)
-    from jetcalc.transform import TransportError
     with pytest.raises(TransportError):
         transport(m, r_space(2).expr("X", T0=1))
 
@@ -183,3 +184,75 @@ def test_memoization_is_consistent():
     second = transport(m, e)
     assert first == second
     assert print_text(first) == print_text(second)
+
+
+def _composite(n):
+    return compose(build_map("R_Q", n), compose(miura_map(n), build_map("B_CH", n)))
+
+
+def _hand_c_mr_images(n):
+    """C_MR's field images and x-derivation as they were written by hand
+    before C_MR was composed from R_Q, the Miura map and B_CH."""
+    qs, chs = q_space(n), ch_space(n)
+    P = chs.expr("P")
+    gap = P - chs.expr("P", X=1)
+    images = {qs.jet("u"): (P * P).div(gap)}
+    for i in range(1, n + 1):
+        images[qs.jet("w", i)] = (chs.expr("Omega", i, X=1) + chs.expr("Omega", i)) / 2
+        images[qs.jet("v", i, x=1)] = \
+            (chs.expr("Omega", i, X=2) + chs.expr("Omega", i, X=1)).div(2 * P)
+    return images, ((P.div(gap), "X"),)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_c_mr_keeps_the_hand_images_as_a_composite(n):
+    images, x_op = _hand_c_mr_images(n)
+    for m in (_composite(n), build_map("C_MR", n)):
+        assert list(m.field_images.items()) == list(images.items())
+        assert m.op_images["x"] == x_op
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_composite_t_derivation_holds_only_modulo_ch(n):
+    # why C_MR keeps its hand t-derivation: the composite's differs from it,
+    # and commutes with its x-derivation, only on solutions of CH
+    composite = _composite(n)
+    ch = standard_systems("CH", n)
+    chs = ch_space(n)
+    P = chs.expr("P")
+    hand = chs.expr("P", T=1).div(P - chs.expr("P", X=1))
+    assert build_map("C_MR", n).op_images["t"] == ((RatExpr.const(1), "T"), (hand, "X"))
+    coeffs = {}
+    for coeff, tv in composite.op_images["t"]:
+        coeffs[tv] = coeffs.get(tv, 0) + coeff
+    assert coeffs["T"] == RatExpr.const(1)
+    assert not is_zero(coeffs["X"] - hand)
+    assert is_zero(ch.reduce(coeffs["X"] - hand))
+    assert not check_commutation(composite, 10, seed=1)
+    assert check_commutation(composite, 10, seed=1, modulo=ch)
+
+
+def test_compose_drops_directions_the_outer_map_leaves_undefined():
+    n = 3
+    inner = compose(miura_map(n), build_map("B_CH", n))
+    assert sorted(inner.op_images) == ["T0", "T1"]
+    with pytest.raises(TransportError):
+        compose(build_map("B_CH", n), miura_map(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_miura_map_solves_the_height_relation(n):
+    x0 = r_space(n).jet("x", T0=1)
+    heights = next(e for e in gen_miura_relations(n) if e.label == "HEIGHTS_R")
+    assert miura_map(n).jet_image(x0) == orient(heights, x0).rhs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_miura_map_sends_each_bmcbs_into_its_bcbs_rule(n):
+    # the paper's Miura link from the mCBS to the CBS forms, one rule each
+    mu = miura_map(n)
+    system = bcbs_system(gen_cbs_family(n))
+    for eq, rule in zip(gen_mcbs_family(n).bmcbs, system.rules, strict=True):
+        image = mu.transport(eq.residual)
+        assert not image.is_zero()
+        assert RewriteSystem([rule], system.ranking).reduce(image).is_zero()
