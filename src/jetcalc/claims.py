@@ -332,14 +332,14 @@ def _cell(args):
 
 def run_all(n_max, claims=None, seed=0, jobs=1,
             step_cap=diffalg.DEFAULT_STEP_CAP, term_cap=diffalg.DEFAULT_TERM_CAP):
-    """Run the selected claims for n = 1..n_max; cells may run in parallel and
-    are merged deterministically by (claim, n).  Each cell carries the caps,
+    """Run each selected claim once for n = 1..n_max; cells may run in parallel
+    and are merged deterministically by (claim, n).  Each cell carries the caps,
     because a pool worker does not inherit the caller's diffalg.limits."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    selected = list(claims) if claims else list(CLAIM_IDS)
+    selected = list(dict.fromkeys(claims)) if claims else list(CLAIM_IDS)
     for c in selected:
         if c not in _CLAIM_FNS:
             raise ValueError(f"unknown claim {c!r}")

@@ -346,8 +346,11 @@ def to_json(e):
 
 def from_json(text, space):
     tree = json.loads(text)
-    if tree.get("format") != "jetexpr-v1":
+    if not isinstance(tree, dict) or tree.get("format") != "jetexpr-v1":
         raise ValueError("unrecognized expression serialization")
+    missing = [key for key in ("space", "num", "den") if key not in tree]
+    if missing:
+        raise ValueError(f"serialized expression lacks {', '.join(missing)}")
     if tree["space"] is not None and tree["space"] != space.name:
         raise ValueError(
             f"serialized for space {tree['space']!r}, not {space.name!r}")
@@ -357,7 +360,10 @@ def from_json(text, space):
         for coeff_s, factors in items:
             pairs = []
             for name, index, orders, exp in factors:
-                field = space.field(name, index)
+                try:
+                    field = space.field(name, index)
+                except KeyError as exc:
+                    raise ValueError(exc.args[0]) from None
                 pairs.append((field.jet(**{v: k for v, k in orders}), exp))
             terms[Monomial.from_pairs(pairs)] = Fraction(coeff_s)
         return DiffPoly(terms)

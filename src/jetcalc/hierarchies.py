@@ -9,12 +9,15 @@ vanish) as labelled Equation values over one of four built-in spaces:
   MR space   vars (X, T, x, t), CH fields depending on (X, T) and Q fields
              on (x, t) -- hosts the relations that mix both hierarchies
 
-The compact recursion-operator forms U_T = R^-n U_X and u_t = r^-n u_x are
-not modelled; the generators emit the expanded systems.  The CH recursion
-operator is R = K J^-1 with K = d_XXX - d_X and J = -(1/2)(d_X U + U d_X),
-the Qiao one r = k j^-1 with k = d_xxx - d_x and j = -d_x u (d_x)^-1 u d_x.
-The substitution U = P^2 relates the compact CH form to the P equations and
-is recorded here rather than modelled as a separate field.
+The generators emit the expanded systems of the compact recursion-operator
+forms U_T = R^-n U_X and u_t = r^-n u_x.  The CH recursion operator is
+R = K J^-1 with K = d_XXX - d_X, J = -(1/2)(d_X U + U d_X) and U = P^2; the
+Qiao one is r = k j^-1 with k = d_xxx - d_x and j = -d_x u (d_x)^-1 u d_x,
+where w^(i) realises (d_x)^-1 (u v^(i)_x).  tests/test_oracle_sympy.py checks
+every generated equation against these operators, written in sympy:
+2P E_CH0 = U_T - J Omega^(1), E_CHi = K Omega^(i) - J Omega^(i+1) and
+D_X E_CH{n}n = U_X - K Omega^(n), and likewise E_Q0 = u_t - j v^(1),
+E_Qi = k v^(i) - j v^(i+1) and D_x E_Q{n}n = u_x - k v^(n).
 """
 
 from __future__ import annotations
@@ -150,19 +153,6 @@ def _r_big_s(n):
     return sp.expr("X", T0=2) / x0 + x0
 
 
-def _bcbs_residual(n, i):
-    """{(X_00/X_0 + X_0)_0 - (1/2)(X_00/X_0 + X_0)^2}_i + (X_{i+1}/X_0)_0.
-
-    Oriented so that the transported CH middle equations come out as
-    +2*X_0^-2 times this residual.
-    """
-    sp = r_space(n)
-    s = _r_big_s(n)
-    curly = total_derivative(s, "T0") - _HALF * s * s
-    lhs = sp.expr("X", **{f"T{i + 1}": 1}) / sp.expr("X", T0=1)
-    return total_derivative(curly, f"T{i}") + total_derivative(lhs, "T0")
-
-
 def m0_image(n):
     """Right side of the M_0 defining equation, as an X expression."""
     s = _r_big_s(n)
@@ -173,6 +163,11 @@ def mi_image(n, i):
     """Right side of the M_i defining equation (i = 1..n-1)."""
     sp = r_space(n)
     return -_QUARTER * sp.expr("X", **{f"T{i + 1}": 1}) / sp.expr("X", T0=1)
+
+
+def _compatibility(m0, mi, i):
+    """D_T0(mi) - D_Ti(m0): what M_T0 = m0 and M_Ti = mi ask of X or x."""
+    return total_derivative(mi, "T0") - total_derivative(m0, f"T{i}")
 
 
 @dataclass(frozen=True)
@@ -187,11 +182,13 @@ def gen_cbs_family(n):
     _check_n(n)
     if n == 1:
         return CbsFamily((), (), ())
-    sp = r_space(n)
+    sp, m0 = r_space(n), m0_image(n)
+    # oriented so that the transported CH middle equations come out as
+    # +2*X_0^-2 times bcbs_i
     bcbs = tuple(
-        Equation(_bcbs_residual(n, i), f"bcbs_{i}", "BCBS", i, n)
+        Equation(-4 * _compatibility(m0, mi_image(n, i), i), f"bcbs_{i}", "BCBS", i, n)
         for i in range(1, n))
-    msys = [Equation(sp.expr("M", T0=1) - m0_image(n), "msys_M0", "MSYS", None, n)]
+    msys = [Equation(sp.expr("M", T0=1) - m0, "msys_M0", "MSYS", None, n)]
     for i in range(1, n):
         msys.append(Equation(
             sp.expr("M", **{f"T{i}": 1}) - mi_image(n, i),
@@ -229,18 +226,16 @@ class McbsFamily:
 def gen_mcbs_family(n):
     """The transformed Qiao families on the reciprocal plane."""
     _check_n(n)
-    sp = r_space(n)
-    bmcbs = []
-    for i in range(1, n):
-        resid = (total_derivative(mi_q_image(n, i), "T0")
-                 - total_derivative(m0_q_image(n), f"T{i}"))
-        bmcbs.append(Equation(resid, f"bmcbs_{i}", "BMCBS", i, n))
-    msys = [Equation(sp.expr("m", T0=1) - m0_q_image(n), "msys_m0", "MCBS_SYS", None, n)]
+    sp, m0 = r_space(n), m0_q_image(n)
+    bmcbs = tuple(
+        Equation(_compatibility(m0, mi_q_image(n, i), i), f"bmcbs_{i}", "BMCBS", i, n)
+        for i in range(1, n))
+    msys = [Equation(sp.expr("m", T0=1) - m0, "msys_m0", "MCBS_SYS", None, n)]
     for i in range(1, n):
         msys.append(Equation(
             sp.expr("m", **{f"T{i}": 1}) - mi_q_image(n, i),
             f"msys_m{i}", "MCBS_SYS", i, n))
-    return McbsFamily(tuple(bmcbs), tuple(msys))
+    return McbsFamily(bmcbs, tuple(msys))
 
 
 def gen_miura_relations(n):

@@ -8,10 +8,13 @@ images to the designated images (one memoised prolongation per map, through
 diffalg.prolong), so an equation can be pushed through a reciprocal or Miura
 change without ever integrating.
 
-Five named maps are built here:
+The four reciprocal maps come from two conservation laws (table _LAWS),
+CH's P_T + ((1/2) P Omega^(1))_X = 0 and Qiao's u_t + (u w^(1))_x = 0, each
+read as rho_t + (rho phi^(1))_x = 0 and changed by dT0 = rho dx - rho phi^(1) dt
+and y_{Ti} = phi^(i) for a field y of the reciprocal plane:
 
-  R_CH  CH space -> R space   reciprocal change dT0 = P dX - (1/2) P Omega^(1) dT
-  R_Q   Q space  -> R space   reciprocal change dT0 = u dx - u w^(1) dt
+  R_CH  CH space -> R space   reciprocal change of the CH law, y = X
+  R_Q   Q space  -> R space   reciprocal change of the Qiao law, y = x
   B_CH  R space  -> CH space  partial inverse (d_{Ti}, i >= 2 undefined)
   B_Q   R space  -> Q space   partial inverse (d_{Ti}, i >= 2 undefined)
   C_MR  Q space  -> CH space  composite Miura-reciprocal change, built by
@@ -174,59 +177,46 @@ _ENDS = {
     "C_MR": (hier.q_space, hier.ch_space),
 }
 
+# (density rho, flux family, phi_i per flux field, field y on the R plane)
+_LAWS = {
+    "CH": ("P", "Omega", Fraction(1, 2), "X"),
+    "Q": ("u", "w", 1, "x"),
+}
+
 
 def _images(which, n, src, tgt):
     """(field_images, op_images) of a named map, keyed on jets of src and
     built over tgt; src and tgt may be the mixed space hosting the map's
     own source or target fields."""
     one = RatExpr.const(1)
-    if which == "R_CH":
-        x0 = tgt.expr("X", T0=1)
-        field_images = {src.jet("P"): one.div(x0)}
-        for i in range(1, n + 1):
-            field_images[src.jet("Omega", i)] = 2 * tgt.expr("X", **{f"T{i}": 1})
-        op_images = {
-            "X": ((one.div(x0), "T0"),),
-            "T": ((one, "T1"), ((-tgt.expr("X", T1=1)).div(x0), "T0")),
-        }
-    elif which == "R_Q":
-        x0 = tgt.expr("x", T0=1)
-        field_images = {src.jet("u"): one.div(x0)}
-        for i in range(1, n + 1):
-            field_images[src.jet("w", i)] = tgt.expr("x", **{f"T{i}": 1})
-            field_images[src.jet("v", i, x=1)] = tgt.expr("x", T0=1, **{f"T{i}": 1})
-        op_images = {
-            "x": ((one.div(x0), "T0"),),
-            "t": ((one, "T1"), ((-tgt.expr("x", T1=1)).div(x0), "T0")),
-        }
-    elif which == "B_CH":
-        P = tgt.expr("P")
-        field_images = {src.jet("X", T0=1): one.div(P)}
-        for i in range(1, n + 1):
-            field_images[src.jet("X", **{f"T{i}": 1})] = \
-                Fraction(1, 2) * tgt.expr("Omega", i)
-        op_images = {
-            "T0": ((one.div(P), "X"),),
-            "T1": ((one, "T"), (Fraction(1, 2) * tgt.expr("Omega", 1), "X")),
-        }
-    elif which == "B_Q":
-        u = tgt.expr("u")
-        field_images = {src.jet("x", T0=1): one.div(u)}
-        for i in range(1, n + 1):
-            field_images[src.jet("x", **{f"T{i}": 1})] = tgt.expr("w", i)
-        op_images = {
-            "T0": ((one.div(u), "x"),),
-            "T1": ((one, "t"), (tgt.expr("w", 1), "x")),
-        }
-    else:  # C_MR = B_CH . mu . R_Q, over src
+    if which == "C_MR":  # B_CH . mu . R_Q, over src
         rs = hier.r_space(n)
         r_q = DerivationMap("R_Q", src, rs, *_images("R_Q", n, src, rs))
         c_mr = compose(r_q, compose(miura_map(n), build_map("B_CH", n)))
-        field_images = c_mr.field_images
         gap = tgt.expr("P") - tgt.expr("P", X=1)
         # written out: the composite's t-derivation commutes only modulo CH
         op_images = {"x": c_mr.op_images["x"],
                      "t": ((one, "T"), (tgt.expr("P", T=1).div(gap), "X"))}
+        return c_mr.field_images, op_images
+    rho, flux, phi, y = _LAWS[which[2:]]
+    if which[0] == "R":
+        dx, dt = src.field(rho).deps
+        y0 = tgt.expr(y, T0=1)
+        field_images = {src.jet(rho): one.div(y0)}
+        for i in range(1, n + 1):
+            field_images[src.jet(flux, i)] = tgt.expr(y, **{f"T{i}": 1}) / phi
+            if which == "R_Q":
+                field_images[src.jet("v", i, x=1)] = tgt.expr(y, T0=1, **{f"T{i}": 1})
+        op_images = {dx: ((one.div(y0), "T0"),),
+                     dt: ((one, "T1"), ((-tgt.expr(y, T1=1)).div(y0), "T0"))}
+    else:
+        dx, dt = tgt.field(rho).deps
+        inv_rho = one.div(tgt.expr(rho))
+        field_images = {src.jet(y, T0=1): inv_rho}
+        for i in range(1, n + 1):
+            field_images[src.jet(y, **{f"T{i}": 1})] = phi * tgt.expr(flux, i)
+        op_images = {"T0": ((inv_rho, dx),),
+                     "T1": ((one, dt), (phi * tgt.expr(flux, 1), dx))}
     return field_images, op_images
 
 

@@ -54,6 +54,10 @@ def test_run_all_n1_vacuous_cells():
     assert any(c.label == "vacuous" for c in c2.checks)
 
 
+def test_run_all_runs_a_repeated_claim_once():
+    assert [(rep.claim, rep.n) for rep in run_all(1, claims=["C1", "C1"])] == [("C1", 1)]
+
+
 def test_run_all_rejects_bad_input():
     with pytest.raises(ValueError):
         run_all(0)
@@ -332,6 +336,29 @@ def test_a_c3_cell_generates_the_cbs_family_once(monkeypatch):
     monkeypatch.setattr(hier, "gen_cbs_family", counted)
     assert run_claim("C3", 4).status == "pass"
     assert calls == [4]
+
+
+@pytest.mark.parametrize("name", ["m0_image", "mi_image"])
+def test_doubling_an_m_image_fails_c2_c3_and_c5(monkeypatch, name):
+    # bcbs_i is the compatibility of the M images, so a slip in either reaches
+    # the BCBS rules that C2 and C5 use as well as C3's M substitution
+    image = getattr(hier, name)
+    monkeypatch.setattr(hier, name, lambda *args: 2 * image(*args))
+    assert {c: run_claim(c, 3).status for c in ("C2", "C3", "C5")} == \
+        {"C2": "fail", "C3": "fail", "C5": "fail"}
+
+
+@pytest.mark.parametrize("law, entry, failing", [
+    ("CH", ("P", "Omega", Fraction(1, 3), "X"), {"C1", "C7", "C8", "C9"}),
+    ("Q", ("u", "w", Fraction(1, 2), "x"), {"C4", "C7", "C8", "C9"}),
+], ids=["CH-phi", "Q-phi"])
+def test_a_mutated_conservation_law_fails_the_claims_of_its_maps(monkeypatch, law,
+                                                                 entry, failing):
+    # all four reciprocal maps of a hierarchy come from its entry in _LAWS
+    monkeypatch.setitem(transform._LAWS, law, entry)
+    reports = run_all(2)
+    assert {rep.claim for rep in reports if rep.status == "fail"} == failing
+    assert {rep.status for rep in reports if rep.claim not in failing} == {"pass"}
 
 
 def test_scaling_the_c_mr_w_images_fails_c8(monkeypatch):

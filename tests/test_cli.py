@@ -85,6 +85,14 @@ def test_verify_unknown_claim(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_runs_a_repeated_claim_once(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert main(["verify", "--claim", "C1,c1", "--n-max", "1", "--jobs", "1",
+                 "--report", str(report)]) == 0
+    assert [(r["claim"], r["n"]) for r in json.loads(report.read_text())] == [("C1", 1)]
+    assert "1 cells: 1 pass" in capsys.readouterr().out
+
+
 def test_verify_headline_at_n1(capsys):
     assert main(["verify", "--claim", "C9", "--n-max", "1", "--jobs", "1"]) == 0
     records = json.loads(capsys.readouterr().out)

@@ -1,5 +1,6 @@
 """Grammar, round trips, LaTeX conventions, and the JSON serialization."""
 
+import json
 import random
 
 import pytest
@@ -106,6 +107,26 @@ def test_json_roundtrip_is_bit_exact():
         again = from_json(blob, space)
         assert to_json(again) == blob
         assert is_zero(again - e)
+
+
+@pytest.mark.parametrize("key", ["space", "num", "den"])
+def test_from_json_rejects_a_tree_without_a_key(key):
+    tree = json.loads(to_json(parse("P/Omega[1]_{X}", CH)))
+    del tree[key]
+    with pytest.raises(ValueError, match=key):
+        from_json(json.dumps(tree), CH)
+
+
+@pytest.mark.parametrize("text", ["[]", "null", '"jetexpr-v1"'])
+def test_from_json_rejects_a_document_that_is_not_an_object(text):
+    with pytest.raises(ValueError, match="unrecognized"):
+        from_json(text, CH)
+
+
+def test_from_json_rejects_a_field_its_space_lacks():
+    tree = dict(json.loads(to_json(parse("P", CH))), space=None)
+    with pytest.raises(ValueError, match="no field 'P' on space 'Q3'"):
+        from_json(json.dumps(tree), Q)
 
 
 def test_latex_derivative_subscripts():

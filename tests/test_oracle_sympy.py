@@ -57,6 +57,65 @@ def ch_context(n):
     return (Xv, Tv), syms, funcs
 
 
+def q_context(n):
+    xv, tv = sp.symbols("xv tv")
+    syms = {"x": xv, "t": tv}
+    funcs = {"u": sp.Function("u")(xv, tv)}
+    for i in range(1, n + 1):
+        funcs[f"v[{i}]"] = sp.Function(f"v{i}")(xv, tv)
+        funcs[f"w[{i}]"] = sp.Function(f"w{i}")(xv, tv)
+    return (xv, tv), syms, funcs
+
+
+def _assert_equal_forms(pairs):
+    for engine, form in pairs:
+        assert sp.expand((engine - form).doit()) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_ch_hierarchy_has_its_recursion_operator_form(n):
+    # U = P^2, K = d^3 - d and J = -(1/2)(d U + U d), d = d_X: chained, the
+    # identities give U_T = (J K^-1)^n U_X
+    (Xv, Tv), syms, funcs = ch_context(n)
+    P = funcs["P"]
+    W = {i: funcs[f"Omega[{i}]"] for i in range(1, n + 1)}
+    U = P ** 2
+
+    def K(f):
+        return sp.diff(f, Xv, 3) - sp.diff(f, Xv)
+
+    def J(f):
+        return -(sp.diff(U * f, Xv) + U * sp.diff(f, Xv)) / 2
+
+    e = [to_sympy(eq.residual, funcs, syms) for eq in gen_ch(n)]
+    _assert_equal_forms([(2 * P * e[0], sp.diff(U, Tv) - J(W[1]))]
+                        + [(e[i], K(W[i]) - J(W[i + 1])) for i in range(1, n)]
+                        + [(sp.diff(e[n], Xv), sp.diff(U, Xv) - K(W[n]))])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_qiao_hierarchy_has_its_recursion_operator_form(n):
+    # k = d^3 - d and j v_i = -d(u w_i), d = d_x, with w_i realising
+    # d^-1(u v_i,x) through E_Qw_i
+    (xv, tv), syms, funcs = q_context(n)
+    u = funcs["u"]
+    v = {i: funcs[f"v[{i}]"] for i in range(1, n + 1)}
+    w = {i: funcs[f"w[{i}]"] for i in range(1, n + 1)}
+
+    def k(f):
+        return sp.diff(f, xv, 3) - sp.diff(f, xv)
+
+    def j(i):
+        return -sp.diff(u * w[i], xv)
+
+    e = {eq.label: to_sympy(eq.residual, funcs, syms) for eq in gen_qiao(n)}
+    _assert_equal_forms([(e[f"E_Qw{i}"], sp.diff(w[i], xv) - u * sp.diff(v[i], xv))
+                         for i in range(1, n + 1)]
+                        + [(e["E_Q0"], sp.diff(u, tv) - j(1))]
+                        + [(e[f"E_Q{i}"], k(v[i]) - j(i + 1)) for i in range(1, n)]
+                        + [(sp.diff(e[f"E_Q{n}n"], xv), sp.diff(u, xv) - k(v[n]))])
+
+
 def test_transported_p_t_against_sympy_chain_rule():
     n = 2
     T, syms, funcs = r_context(n)

@@ -256,3 +256,42 @@ def test_the_miura_map_sends_each_bmcbs_into_its_bcbs_rule(n):
         image = mu.transport(eq.residual)
         assert not image.is_zero()
         assert RewriteSystem([rule], system.ranking).reduce(image).is_zero()
+
+
+def _miura_map_on_mix2(n):
+    """mu extended by X_{Ti} -> X_{Ti} (i = 0..n), so that it acts on MIX2_i."""
+    mu = miura_map(n)
+    rs = mu.source
+    images = dict(mu.field_images)
+    for i in range(n + 1):
+        images[rs.jet("X", **{f"T{i}": 1})] = rs.expr("X", **{f"T{i}": 1})
+    return DerivationMap("MU_X", rs, rs, images, mu.op_images)
+
+
+def _mix2_images(n, extra=lambda rs, i: 0):
+    """(i, mu(MIX2_i + extra(rs, i))) for i = 1..n-1."""
+    mu = _miura_map_on_mix2(n)
+    return [(eq.i, mu.transport(eq.residual + extra(mu.source, eq.i)))
+            for eq in gen_miura_relations(n) if eq.label.startswith("MIX2_")]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_miura_map_sends_each_mix2_into_its_bcbs_rule_alone(n):
+    system = bcbs_system(gen_cbs_family(n))
+    images = _mix2_images(n)
+    assert [i for i, _image in images] == list(range(1, n))
+    for i, image in images:
+        assert len(image.num.terms) == 7
+        zero = [RewriteSystem([rule], system.ranking).reduce(image).is_zero()
+                for rule in system.rules]
+        assert zero == [k == i for k in range(1, n)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_doubled_x_term_of_mix2_leaves_its_bcbs_rule(n):
+    system = bcbs_system(gen_cbs_family(n))
+    doubled = _mix2_images(n, lambda rs, i: rs.expr("X", **{f"T{i + 1}": 1})
+                           / rs.expr("X", T0=1))
+    for i, image in doubled:
+        rule = system.rules[i - 1]
+        assert not RewriteSystem([rule], system.ranking).reduce(image).is_zero()
