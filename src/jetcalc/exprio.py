@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffalg import DiffPoly, Monomial, RatExpr
+from .diffalg import DiffPoly, Monomial, RatExpr, UnknownVariableError, ZeroDivisionExprError
 
 
 @dataclass(frozen=True)
@@ -361,14 +361,19 @@ def from_json(text, space):
             pairs = []
             for name, index, orders, exp in factors:
                 try:
-                    field = space.field(name, index)
+                    jet = space.field(name, index).jet(**{v: k for v, k in orders})
                 except KeyError as exc:
                     raise ValueError(exc.args[0]) from None
-                pairs.append((field.jet(**{v: k for v, k in orders}), exp))
+                except UnknownVariableError as exc:
+                    raise ValueError(str(exc)) from None
+                pairs.append((jet, exp))
             terms[Monomial.from_pairs(pairs)] = Fraction(coeff_s)
         return DiffPoly(terms)
 
-    return RatExpr.make(poly(tree["num"]), poly(tree["den"]))
+    try:
+        return RatExpr.make(poly(tree["num"]), poly(tree["den"]))
+    except ZeroDivisionExprError:
+        raise ValueError("serialized denominator is zero") from None
 
 
 def print_expr(e, fmt="text"):

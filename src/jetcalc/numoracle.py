@@ -8,43 +8,52 @@ claims that hold only modulo a rewrite system, the led jets are computed from
 the (prolonged) rule right sides so the sample satisfies the oriented
 equations to machine precision.
 
-A check is lowered once and then run at every sample point.  Lowering builds
-a plan for a (system, jet set, test function), which lives as long as the
-check: one slot per jet, in the post-order of the on-shell dependencies (a
-led jet after the jets of its right side).  A free jet's slot holds the test
-function's terms for that jet; their exp and sin factors, with the powers
-a**k and b**k and the phase shifts k*pi/2 already in floats, are shared by
-the jets of a field.  A led jet's slot holds its rule's prolonged right side
-as float programs, one (coefficient, factors) per term, where a factor is a
-power x**e of an earlier slot's value.  The checked expressions become
-programs the same way.  So `RewriteSystem.match`, `prolonged_rhs` and every
-Fraction-to-float conversion run once per check.
+A check is lowered once and then run over batches of sample points.
+Lowering builds a plan for a (system, jet set, test function), which lives
+as long as the check: one slot per jet, the free jets first and then the led
+jets in the post-order of the on-shell dependencies (a led jet after the jets
+of its right side).  A free jet's slot holds the test function's terms for
+that jet, whose exp and sin factors carry the powers a**k and b**k and the
+phase shifts k*pi/2 in floats.  A led jet's slot holds its rule's prolonged
+right side as float programs, one (coefficient, factors) per term, where a
+factor is a power x**e of an earlier slot's value.  The checked expressions
+become programs the same way.  So `RewriteSystem.match`, `prolonged_rhs`
+and every Fraction-to-float conversion run once per check.
+
+A run fills each slot as a column, one float per point of its batch, and
+appends the column of every power that a program uses to a table, from which
+programs read their factor columns.  confirm_zero and numeric_proportionality
+run over the first `points` points of their walk as one batch, then over
+batches of the shortfall until enough points are accepted or 40*points have
+been drawn, so they draw the points that one-by-one sampling draws; the other
+entry points run batches of one.
 
 The checks of one claim cell share a walk per (space, test-function seed,
-sampler stream): the points the stream draws, each with a dict of the
-free-jet values that the cell's checks have evaluated there.  A free jet's
-value is a function of the test function, the point and the jet alone, so a
-plan run at a walk point reads the free values it finds and records the ones
-it computes.  A led jet's value depends on the system as well, so a run
-always computes it from its rule and neither reads nor records it: checks on
+sampler stream), held by the cell's `SampleWalks` and dropped with it: the
+points the stream draws, each with a dict of the free-jet values the cell's
+checks have evaluated there, and per batch a cache of the factor columns
+they evaluated, where an exp factor's base exp(a*w) serves every derivative
+order.  A free jet's value is a function of the test function, the point and
+the jet alone, so a run reads a free jet's column from the dicts when every
+point has it, and otherwise computes it from the factor columns and records
+it.  A led jet's value depends on the system as well, so a run always
+computes it from its rule and neither reads nor records it: checks on
 different systems share a walk, and a check whose system leads a jet that an
-earlier check's system left free still gets its own rule's value.  A run
-evaluates the test-function factors only when some free jet is missing,
-fills the slots in order, and appends every power that a program uses to a
-flat table of floats; the programs read their factors from that table.
-`SampleWalks` holds a cell's walks, one per (space, seed, stream); the
-claim runner creates one per cell, and confirm_zero and
-numeric_proportionality build a private one when given none.
+earlier check's system left free still gets its own rule's value.
 
-The float operations are those of evaluating each expression directly, in
-the same order, so residuals and reports do not depend on the lowering or
-on the interpreter: a term is its coefficient times its factors, multiplied
-left to right; a free jet adds its terms left to right from 0.0; a led jet
-or checked expression takes the math.fsum of its terms, and so does its
-scale over the terms' magnitudes, so that no float depends on the order in
-which a polynomial stores its terms; a sine's argument is
-(b*w + phi) + shift.  A led jet or an expression whose denominator is below
-DEN_FLOOR relative to its term magnitudes rejects the point.
+The float operations are those of evaluating each expression directly at
+each point, in the same order, so residuals and reports do not depend on the
+lowering, the batching or the interpreter: a term is its coefficient times
+its factors, multiplied left to right; a free jet adds its terms left to
+right from 0.0; a led jet or checked expression takes the math.fsum of its
+terms at each point, and so does its scale over the terms' magnitudes, so
+that no float depends on the order in which a polynomial stores its terms; a
+sine's argument is (b*w + phi) + shift.  A led jet whose denominator is
+below DEN_FLOOR relative to its term magnitudes rejects the point, which
+later columns drop.  Every point leaves through eval_expr or
+relative_residual: there a point a led jet rejected raises
+SmallDenominatorError from _Plan.run, as one does whose checked expression
+has too small a denominator.
 """
 
 from __future__ import annotations
@@ -52,10 +61,10 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import reduce
-from itertools import chain, islice
-from math import fsum, prod
-from operator import add, itemgetter
+from functools import partial, reduce
+from itertools import chain, repeat
+from math import fsum
+from operator import add, itemgetter, mul, truediv
 
 from .diffalg import DiffAlgError, RatExpr, equivalent
 
@@ -109,6 +118,7 @@ class TestFunction:
                                     for var, f in factors.items()})
                     for coeff, factors in terms]
             for field, terms in self.terms.items()}
+        self._jets = {}
 
     @staticmethod
     def _coeff(rng):
@@ -129,8 +139,12 @@ class TestFunction:
     def _jet_terms(self, jet):
         """jet's nonvanishing terms in floats, as (coeff, factors) with one
         (var, rate, rate**k, phase, k*pi/2) factor per variable the term
-        depends on; phase and shift are None for an exp factor."""
-        out = []
+        depends on; phase and shift are None for an exp factor.  Memoized
+        per test function."""
+        out = self._jets.get(jet)
+        if out is not None:
+            return out
+        out = self._jets[jet] = []
         for coeff, factors in self._float_terms[jet.field]:
             compiled = []
             for var, order in zip(jet.field.deps, jet.orders):
@@ -172,63 +186,74 @@ def _gather(indices):
     return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0, 0))
 
 
-def _terms(program, table):
-    """Each term's coefficient times its factors, multiplied left to right."""
-    return [prod(factors(table), start=coeff) for coeff, factors in program]
+_times = partial(map, mul)
+_plus = partial(map, add)
+_magnitudes = partial(map, abs)
 
 
-def _scale(terms):
-    """Summed term magnitude, exactly rounded whatever the term order."""
-    return fsum(map(abs, terms))
+def _rows(program, table, n):
+    """Per point, the values of the program's terms over columns of n
+    points; a term is its coefficient times its factors, multiplied left to
+    right."""
+    terms = [reduce(_times, factors(table), repeat(coeff, n)) for coeff, factors in program]
+    return list(zip(*terms)) if terms else [()] * n
 
 
-def _quotient(num, den, table):
-    """(numerator, numerator terms, denominator) of compiled programs;
-    denominators below the floor are rejected."""
-    terms = _terms(den, table)
-    d = fsum(terms)
-    if abs(d) <= DEN_FLOOR * max(1.0, _scale(terms)):
-        raise SmallDenominatorError(f"denominator {d!r} too small")
-    terms = _terms(num, table)
-    return fsum(terms), terms, d
+def _factor(f, coords, cache):
+    """The column over coords of a test-function factor (var, rate, rate**k,
+    phase, k*pi/2), cached; an exp factor's base exp(rate*w) is cached
+    apart, since the factors of every order along var share it."""
+    col = cache.get(f)
+    if col is None:
+        var, rate, power, phase, shift = f
+        if phase is None:
+            base = cache.get((var, rate))
+            if base is None:
+                base = cache[var, rate] = [math.exp(rate * c[var]) for c in coords]
+            col = list(map(power.__mul__, base))
+        else:
+            col = [power * math.sin(rate * c[var] + phase + shift) for c in coords]
+        cache[f] = col
+    return col
 
 
 class _Plan:
     """Expressions lowered once for a test function (see the module docstring).
 
-    Slot i holds one jet, filled by steps[i]: (terms, None) for a free jet,
-    whose terms read the test-function factors listed in `factors`, or the
-    (num, den) programs of the rule that leads the jet.  After filling a
-    slot, a run appends the powers of its value listed in powers[i] to a
-    table, and programs read their factors from that table.  programs[k]
-    is exprs[k]'s numerator and denominator.
+    Slot i holds one jet: the free jets first, as (jet, its test-function
+    terms) in `free`, then the led jets as the (num, den) programs of their
+    rules in `led`.  After filling a slot's column, a run appends the
+    columns of the powers listed in powers[i] to a table, and programs read
+    their factors from that table.  programs[k] is exprs[k]'s numerator and
+    denominator.
     """
 
-    __slots__ = ("slot", "steps", "factors", "powers", "programs")
+    __slots__ = ("slot", "free", "led", "powers", "programs")
 
     def __init__(self, tf, system, exprs):
-        slot = self.slot = {}
-        rhs = []  # per slot: None for a free jet, or its rule's lowered (num, den)
+        free, led, seen = [], {}, set()  # led: jet -> its rule's prolonged rhs
 
         def visit(jet):
+            seen.add(jet)
             rule = None if system is None else system.match(jet)
-            lowered = None
-            if rule is not None:
-                e = system.prolonged_rhs(rule, jet)
-                for dep in e.jets():
-                    if dep not in slot:
-                        visit(dep)
-                lowered = (_lower(e.num, slot), _lower(e.den, slot))
-            slot[jet] = len(rhs)
-            rhs.append(lowered)
+            if rule is None:
+                free.append(jet)
+                return
+            e = system.prolonged_rhs(rule, jet)
+            for dep in e.jets():
+                if dep not in seen:
+                    visit(dep)
+            led[jet] = e  # after the jets of its right side
 
         for jet in chain.from_iterable(e.jets() for e in exprs):
-            if jet not in slot:
+            if jet not in seen:
                 visit(jet)
+        slot = self.slot = {jet: s for s, jet in enumerate(chain(free, led))}
+        rhs = [(_lower(e.num, slot), _lower(e.den, slot)) for e in led.values()]
         programs = [(_lower(e.num, slot), _lower(e.den, slot)) for e in exprs]
 
-        used = [set() for _ in rhs]
-        for pair in chain(programs, filter(None, rhs)):
+        used = [set() for _ in slot]
+        for pair in chain(programs, rhs):
             for program in pair:
                 for _, factors in program:
                     for s, exp in factors:
@@ -244,85 +269,120 @@ class _Plan:
                     for coeff, factors in program]
 
         self.programs = [(compiled(num), compiled(den)) for num, den in programs]
-        # the jets of one field share their test-function factors
-        factor = {}
-        self.steps = []
-        for jet, lowered in zip(slot, rhs):
-            if lowered is not None:
-                self.steps.append((compiled(lowered[0]), compiled(lowered[1])))
-            else:
-                self.steps.append(([(coeff, _gather([factor.setdefault(f, len(factor))
-                                                     for f in fs]))
-                                    for coeff, fs in tf._jet_terms(jet)], None))
-        self.factors = list(factor)
+        self.led = [(compiled(num), compiled(den)) for num, den in rhs]
+        self.free = [(jet, tf._jet_terms(jet)) for jet in free]
 
-    def run(self, coords, known):
-        """The table of powers of the slot values at coords.  known maps
-        free jets already evaluated at coords to their values; the run
-        reads those and records the free values it computes.  A led slot
-        is always computed from its rule and never touches known."""
-        factors = None
+    def run(self, batch, i):
+        """(numerator, its scale, denominator, its scale) per program at
+        point i of batch, whose columns the first run over it fills;
+        SmallDenominatorError if a led jet's denominator is too small there."""
+        if batch.rows is None:
+            batch.rows = self._columns(batch)
+        row = batch.rows[i]
+        if row is None:
+            raise SmallDenominatorError(f"a led jet's denominator is too small at point {i}")
+        return row
+
+    def _columns(self, batch):
+        """run's rows for every point of batch, None where a led jet rejects it."""
+        points = batch.points
+        n = len(points)
+        coords = [c for c, _ in points]
         table = []
-        for jet, (a, b), exps in zip(self.slot, self.steps, self.powers):
-            if b is None:
-                x = known.get(jet)
-                if x is None:
-                    if factors is None:
-                        factors = [power * math.exp(rate * coords[var]) if phase is None
-                                   else power * math.sin(rate * coords[var] + phase + shift)
-                                   for var, rate, power, phase, shift in self.factors]
-                    x = known[jet] = reduce(add, _terms(a, factors), 0.0)
-            else:
-                n, _, d = _quotient(a, b, table)
-                x = n / d
-            for exp in exps:
-                table.append(x ** exp)
-        return table
+        for (jet, terms), exps in zip(self.free, self.powers):
+            x = [known.get(jet) for _, known in points]
+            if None in x:
+                x = list(reduce(_plus, [
+                    reduce(_times, [_factor(f, coords, batch.factors) for f in fs],
+                           repeat(coeff, n)) for coeff, fs in terms], repeat(0.0, n)))
+                for (_, known), v in zip(points, x):
+                    known[jet] = v
+            table.extend(list(map(pow, x, repeat(exp, n))) for exp in exps)
+        alive = range(n)
+        for (num, den), exps in zip(self.led, self.powers[len(self.free):]):
+            rows = _rows(den, table, n)
+            d = list(map(fsum, rows))
+            small = [abs(v) <= DEN_FLOOR * max(1.0, fsum(map(abs, r))) for v, r in zip(d, rows)]
+            if any(small):  # drop the rejected points from every column
+                keep = [k for k, bad in enumerate(small) if not bad]
+                alive, d = [alive[k] for k in keep], [d[k] for k in keep]
+                table = [[col[k] for k in keep] for col in table]
+                n = len(keep)
+            x = list(map(truediv, map(fsum, _rows(num, table, n)), d))
+            table.extend(list(map(pow, x, repeat(exp, n))) for exp in exps)
+        columns = []
+        for num, den in self.programs:
+            nrows, drows = _rows(num, table, n), _rows(den, table, n)
+            columns.append(zip(map(fsum, nrows), map(fsum, map(_magnitudes, nrows)),
+                               map(fsum, drows), map(fsum, map(_magnitudes, drows))))
+        rows = [None] * len(points)
+        for k, row in zip(alive, zip(*columns)):
+            rows[k] = row
+        return rows
+
+
+class _Batch:
+    """Points that plans evaluate together, each (coords, {free jet:
+    value}); the cache of test-function factor columns over them; and the
+    rows of the one plan that runs over them, filled by its first run."""
+
+    __slots__ = ("points", "factors", "rows")
+
+    def __init__(self, points, factors):
+        self.points = points
+        self.factors = factors
+        self.rows = None
 
 
 class _Sample:
-    """A plan at one sample's coordinates and known free-jet values.  The plan
-    runs on first use, inside eval_expr or relative_residual, so a point
+    """Point i of a batch that a plan runs over.  The plan runs on the
+    batch's first use, inside eval_expr or relative_residual, and a point
     rejected for a led jet's denominator leaves through those public names
     like one rejected for the checked expression's own."""
 
-    __slots__ = ("plan", "coords", "known", "_table")
+    __slots__ = ("plan", "batch", "i")
 
-    def __init__(self, plan, coords, known):
+    def __init__(self, plan, batch, i):
         self.plan = plan
-        self.coords = coords
-        self.known = known
-        self._table = None
+        self.batch = batch
+        self.i = i
 
-    def table(self):
-        if self._table is None:
-            self._table = self.plan.run(self.coords, self.known)
-        return self._table
+    def quotient(self, k):
+        """(numerator, numerator scale, denominator) of the plan's program
+        k; denominators below the floor are rejected."""
+        num, scale, den, dscale = self.plan.run(self.batch, self.i)[k]
+        if abs(den) <= DEN_FLOOR * max(1.0, dscale):
+            raise SmallDenominatorError(f"denominator {den!r} too small")
+        return num, scale, den
 
 
 class _Walk:
     """The points of one seeded sampler stream of a test function, drawn on
-    demand; each is (coords, {free jet: value})."""
+    demand; each is (coords, {free jet: value}).  factors maps each batch
+    (lo, hi) of its points that a check evaluated to that batch's factor
+    cache, which later checks over the same batch read."""
 
-    __slots__ = ("tf", "rng", "points")
+    __slots__ = ("tf", "rng", "points", "factors")
 
     def __init__(self, tf, stream):
         self.tf = tf
         self.rng = random.Random(stream)
         self.points = []
+        self.factors = {}
 
-    def point(self, j):
-        if j == len(self.points):
+    def batch(self, lo, hi):
+        """A batch of the points lo..hi-1, drawing those not drawn yet."""
+        while len(self.points) < hi:
             self.points.append((self.tf.sample_coords(self.rng), {}))
-        return self.points[j]
+        return _Batch(self.points[lo:hi], self.factors.setdefault((lo, hi), {}))
 
 
 class SampleWalks:
     """The sample walks of one claim cell: one per (space, test-function
     seed, sampler stream), each over its own TestFunction(space, seed),
     whose values depend on (space, seed) alone.  Checks given the same
-    SampleWalks share the free-jet values at the points of their walk,
-    whatever their systems; drop it when the cell ends."""
+    SampleWalks share the free-jet values and factor columns at the points
+    of their walk, whatever their systems; drop it when the cell ends."""
 
     __slots__ = ("walks",)
 
@@ -337,31 +397,39 @@ class SampleWalks:
         return walk
 
 
-def eval_expr(program, sample):
-    """The value of one of a plan's programs at a _Sample of that plan;
+def eval_expr(k, sample):
+    """The value of a plan's program k at a _Sample of that plan;
     denominators below the floor are rejected."""
-    num, _, den = _quotient(*program, sample.table())
+    num, _, den = sample.quotient(k)
     return num / den
 
 
-def relative_residual(program, sample):
+def relative_residual(k, sample):
     """|num| relative to the summed magnitude of the numerator's terms."""
-    num, terms, _ = _quotient(*program, sample.table())
-    return abs(num) / max(_scale(terms), 1e-300)
+    num, scale, _ = sample.quotient(k)
+    return abs(num) / max(scale, 1e-300)
 
 
-def _samples(walk, attempts, evaluate):
-    """Yield evaluate(coords, known) at the walk's successive points,
-    skipping the points where a denominator is too small; NumericError after
-    `attempts` points."""
-    for j in range(attempts):
-        coords, known = walk.point(j)
-        try:
-            value = evaluate(coords, known)
-        except SmallDenominatorError:
-            continue
-        yield value
-    raise NumericError("could not find enough well-conditioned sample points")
+def _accepted(plan, walk, wanted, attempts, evaluate):
+    """Yield evaluate(sample) at the walk's successive points, skipping the
+    points where a denominator is too small, until `wanted` are accepted.
+    The first batch is the first `wanted` points and each later one the
+    shortfall, so no point is drawn that one-by-one sampling would not
+    draw; NumericError after `attempts` points."""
+    got = drawn = 0
+    while got < wanted:
+        if drawn == attempts:
+            raise NumericError("could not find enough well-conditioned sample points")
+        hi = min(drawn + wanted - got, attempts)
+        batch = walk.batch(drawn, hi)
+        for i in range(hi - drawn):
+            try:
+                value = evaluate(_Sample(plan, batch, i))
+            except SmallDenominatorError:
+                continue
+            got += 1
+            yield value
+        drawn = hi
 
 
 def consistent_point(system, jets, tf, coords):
@@ -377,54 +445,48 @@ def consistent_point(system, jets, tf, coords):
     """
     slots = _Plan(tf, system, [RatExpr.from_jet(j) for j in jets]).slot
     plan = _Plan(tf, system, [RatExpr.from_jet(j) for j in slots])
-    sample = _Sample(plan, coords, {})
-    return {jet: eval_expr(program, sample) for jet, program in zip(slots, plan.programs)}
+    sample = _Sample(plan, _Batch([(coords, {})], {}), 0)
+    return {jet: eval_expr(k, sample) for k, jet in enumerate(slots)}
 
 
 def confirm_zero(e, space, seed, points=100, system=None, walks=None):
     """Max relative residual of e over seeded sample points (on-shell when a
     system is given); callers compare the result against ZERO_TOL.  Checks
-    given the same SampleWalks share their points' free-jet values."""
+    given the same SampleWalks share their points' free-jet values and
+    factor columns."""
     e = RatExpr._coerce(e)
     if e.is_zero():
         return 0.0
     walk = (SampleWalks() if walks is None else walks).walk(space, seed, seed * 7919 + 13)
     plan = _Plan(walk.tf, system, (e,))
-    lowered = plan.programs[0]
-
-    def residual(coords, known):
-        return relative_residual(lowered, _Sample(plan, coords, known))
-
-    worst = 0.0
-    samples = _samples(walk, 40 * points, residual)
-    for rel in islice(samples, points):
-        worst = max(worst, rel)
-    return worst
+    residuals = _accepted(plan, walk, points, 40 * points,
+                          lambda sample: relative_residual(0, sample))
+    return reduce(max, residuals, 0.0)
 
 
 def fd_check(e, var, tf, sample=0):
     """Relative error of the symbolic total derivative against Richardson-
     extrapolated central differences (steps 1e-3 and 5e-4) along var."""
     e = RatExpr._coerce(e)
-    de = e.total_derivative(var)
-    plan = _Plan(tf, None, (e, de))
-    le, lde = plan.programs
+    plan = _Plan(tf, None, (e,))
+    dplan = _Plan(tf, None, (e.total_derivative(var),))
     h = 1e-3
 
-    def error(coords, known):
-        sym = eval_expr(lde, _Sample(plan, coords, known))
+    def error(point):
+        sym = eval_expr(0, point)
+        coords = point.batch.points[point.i][0]
 
         def at(offset):
             shifted = dict(coords)
             shifted[var] = coords[var] + offset
-            return eval_expr(le, _Sample(plan, shifted, {}))
+            return eval_expr(0, _Sample(plan, _Batch([(shifted, {})], {}), 0))
 
         d_h = (at(h) - at(-h)) / (2 * h)
         d_h2 = (at(h / 2) - at(-h / 2)) / h
         fd = (4 * d_h2 - d_h) / 3
         return abs(sym - fd) / max(1.0, abs(sym), abs(fd))
 
-    return next(_samples(_Walk(tf, tf.seed * 92821 + sample), 1000, error))
+    return next(_accepted(dplan, _Walk(tf, tf.seed * 92821 + sample), 1, 1000, error))
 
 
 def sample_value(e, space, seed):
@@ -433,14 +495,14 @@ def sample_value(e, space, seed):
     e = RatExpr._coerce(e)
     walk = _Walk(TestFunction(space, seed), seed * 65537 + 1)
     plan = _Plan(walk.tf, None, (e,))
-    lowered = plan.programs[0]
-    return next(_samples(walk, 1000, lambda coords, known: (
-        coords, eval_expr(lowered, _Sample(plan, coords, known)))))
+    return next(_accepted(plan, walk, 1, 1000,
+                          lambda s: (s.batch.points[s.i][0], eval_expr(0, s))))
 
 
 def numeric_proportionality(a, b, cofactor, trials=100, seed=0, walks=None):
     """True iff a evaluates to cofactor*b within ZERO_TOL at all sampled points.
-    Checks given the same SampleWalks share their points' free-jet values."""
+    Checks given the same SampleWalks share their points' free-jet values and
+    factor columns."""
     a = RatExpr._coerce(a)
     b = RatExpr._coerce(b)
     cof = cofactor.as_ratexpr()
@@ -449,12 +511,9 @@ def numeric_proportionality(a, b, cofactor, trials=100, seed=0, walks=None):
         return equivalent(a, cof.mul(b))
     walk = (SampleWalks() if walks is None else walks).walk(space, seed, seed * 31337 + 7)
     plan = _Plan(walk.tf, None, (a, cof, b))
-    la, lcof, lb = plan.programs
 
-    def values(coords, known):
-        p = _Sample(plan, coords, known)
-        return eval_expr(la, p), eval_expr(lcof, p) * eval_expr(lb, p)
+    def values(sample):
+        return eval_expr(0, sample), eval_expr(1, sample) * eval_expr(2, sample)
 
-    samples = _samples(walk, 40 * trials, values)
     return not any(abs(va - vb) > ZERO_TOL * max(1.0, abs(va), abs(vb))
-                   for va, vb in islice(samples, trials))
+                   for va, vb in _accepted(plan, walk, trials, 40 * trials, values))

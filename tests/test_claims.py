@@ -361,6 +361,16 @@ def test_a_mutated_conservation_law_fails_the_claims_of_its_maps(monkeypatch, la
     assert {rep.status for rep in reports if rep.claim not in failing} == {"pass"}
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_pinned_c2_cofactor_rejects_a_mutated_ch_law(monkeypatch, n):
+    # C2's verdict does not judge the cofactor's constant: with phi = 1/3 the
+    # images stay proportional, with another constant, and only the paper's
+    # value pinned here tells the mutant apart
+    assert run_claim("C2", n).cofactor == "2*X_{T0}^-2"
+    monkeypatch.setitem(transform._LAWS, "CH", ("P", "Omega", Fraction(1, 3), "X"))
+    assert run_claim("C2", n).cofactor == "3*X_{T0}^-2"
+
+
 def test_scaling_the_c_mr_w_images_fails_c8(monkeypatch):
     images = transform._images
 

@@ -129,6 +129,20 @@ def test_from_json_rejects_a_field_its_space_lacks():
         from_json(json.dumps(tree), Q)
 
 
+def test_from_json_rejects_an_order_in_a_variable_the_field_lacks():
+    # P depends on X and T alone
+    tree = json.loads(to_json(parse("P_{X}", CH)))
+    tree["num"][0][1][0][2] = [["Y", 1]]
+    with pytest.raises(ValueError, match="does not depend on 'Y'"):
+        from_json(json.dumps(tree), CH)
+
+
+def test_from_json_rejects_an_empty_denominator():
+    tree = dict(json.loads(to_json(parse("P", CH))), den=[])
+    with pytest.raises(ValueError, match="denominator is zero"):
+        from_json(json.dumps(tree), CH)
+
+
 def test_latex_derivative_subscripts():
     assert print_latex(parse("Omega[1]_{X,X,X}", CH)) == r"\Omega^{(1)}_{XXX}"
     assert print_latex(parse("w[2]_{x}", Q)) == r"\omega^{(2)}_{x}"

@@ -24,11 +24,12 @@ R2 = r_space(2)
 
 
 def _at(e, values):
-    """e lowered for a test function on R2, and a sample of that plan at
-    which every jet of e is a known free jet of the given value; a plan run
-    reads known values before the test function's."""
+    """e lowered for a test function on R2 as its program 0, and a sample
+    of that plan, a batch of one point at which every jet of e is a known
+    free jet of the given value; a plan run reads known values before the
+    test function's."""
     plan = numoracle._Plan(TestFunction(R2, 0), None, (e,))
-    return plan.programs[0], numoracle._Sample(plan, None, dict(values))
+    return 0, numoracle._Sample(plan, numoracle._Batch([(None, dict(values))], {}), 0)
 
 
 def test_eval_square():
@@ -275,10 +276,9 @@ def test_numeric_proportionality_is_bit_identical_to_the_reference():
         assert got is expected
 
 
-def _run_cell(monkeypatch, claim, n, check):
-    """Run a claim cell through the real runner and record each call of the
-    numoracle check it makes, with its arguments and result."""
-    runner = claims._Runner(claim, n, 0)
+def _record(monkeypatch, check):
+    """The list to which each later call of the numoracle check appends its
+    arguments and result."""
     original = getattr(numoracle, check)
     calls = []
 
@@ -288,9 +288,34 @@ def _run_cell(monkeypatch, claim, n, check):
         return result
 
     monkeypatch.setattr(numoracle, check, recorded)
+    return calls
+
+
+def _run_cell(monkeypatch, claim, n, check):
+    """Run a claim cell through the real runner and record each call of the
+    numoracle check it makes, with its arguments and result."""
+    runner = claims._Runner(claim, n, 0)
+    calls = _record(monkeypatch, check)
     getattr(claims, "_" + claim.lower())(runner, n)
     assert calls
     return runner, calls
+
+
+@pytest.mark.parametrize("claim", claims.CLAIM_IDS)
+def test_every_numeric_check_of_a_cell_is_bit_identical_to_the_reference(monkeypatch, claim):
+    # the checks of a cell share walks and evaluate batches of points; the
+    # reference evaluates each check alone, one point at a time
+    zero = _record(monkeypatch, "confirm_zero")
+    proportional = _record(monkeypatch, "numeric_proportionality")
+    runner = claims._Runner(claim, 3, 0)
+    getattr(claims, "_" + claim.lower())(runner, 3)
+    assert zero or proportional
+    for (expr, space, seed), kwargs, got in zero:
+        assert got == reference_confirm_zero(expr, space, seed, points=100,
+                                             system=kwargs["system"])
+    for (lhs, rhs, cof), kwargs, got in proportional:
+        assert got is reference_numeric_proportionality(lhs, rhs, cof, trials=100,
+                                                        seed=kwargs["seed"])
 
 
 @pytest.mark.parametrize("claim", ["C3", "C5", "C7", "C9"])
@@ -325,6 +350,50 @@ def _rule_rejecting_the_first_point(seed):
     rule = RewriteRule(R2.jet("X", T0=1, T1=1),
                        RatExpr.const(1) / (R2.expr("X", T0=1) - c), "synthetic")
     return coords, RewriteSystem([rule], JetRanking(R2))
+
+
+def _vanishing_at(seed, stream, points):
+    """The product of X_{T0} - c over the values c of X_{T0} at the given
+    points of R2's sampler stream at seed: a denominator too small at
+    those points and at no other point of the stream's first few."""
+    tf = TestFunction(R2, seed)
+    rng = random.Random(stream)
+    drawn = [tf.sample_coords(rng) for _ in range(max(points) + 1)]
+    den = RatExpr.const(1)
+    for j in points:
+        den = den * (R2.expr("X", T0=1)
+                     - Fraction(reference_jet_value(tf, R2.jet("X", T0=1), drawn[j])))
+    return den
+
+
+def test_a_led_jets_rejections_inside_a_batch_are_made_up_by_the_next_batch():
+    # points 0 and 2 of the first batch are rejected, so a second batch
+    # draws the two points 5 and 6
+    seed = 7
+    den = _vanishing_at(seed, seed * 7919 + 13, (0, 2))
+    system = RewriteSystem([RewriteRule(R2.jet("X", T0=1, T1=1), RatExpr.const(1) / den,
+                                        "synthetic")], JetRanking(R2))
+    reads = R2.expr("X", T0=1, T1=1) + R2.expr("X", T1=1)
+    walks = SampleWalks()
+    got = confirm_zero(reads, R2, seed, points=5, system=system, walks=walks)
+    (walk,) = walks.walks.values()
+    assert len(walk.points) == 7
+    assert got == reference_confirm_zero(reads, R2, seed, points=5, system=system)
+
+
+def test_proportionality_rejections_inside_a_batch_are_made_up_by_the_next_batch():
+    # points 0 and 2 of the first batch are rejected: the true cofactor
+    # needs the points 5 and 6 of a second batch, and the first accepted
+    # point refutes the doubled one
+    seed = 7
+    e = R2.expr("X", T1=1) / _vanishing_at(seed, seed * 31337 + 7, (0, 2))
+    for cof, expected, drawn in ((Cofactor(1, ()), True, 7), (Cofactor(2, ()), False, 5)):
+        walks = SampleWalks()
+        got = numeric_proportionality(e, e, cof, trials=5, seed=seed, walks=walks)
+        assert got is expected
+        assert got is reference_numeric_proportionality(e, e, cof, trials=5, seed=seed)
+        (walk,) = walks.walks.values()
+        assert len(walk.points) == drawn
 
 
 def test_a_led_jets_rejection_rejects_only_the_checks_that_read_it():
