@@ -4,11 +4,11 @@ Each claim runs a sequence of named checks for a given hierarchy size n and
 returns a VerificationReport holding only plain data (printable expression
 text, cofactor strings, term counts), so reports can cross process
 boundaries and serialize deterministically.  Symbolic zero results are
-additionally confirmed numerically at seeded sample points, and every
-proportionality cofactor passes a numeric spot check; engine failures are
-recorded as status "error", never swallowed.  A confirmation's note prints
-the worst relative residual, or `numeric<=1e-12` when it is at or below that
-floor, so no report byte depends on libm or on float operation order.
+additionally confirmed at two seeded points modulo a prime, and every
+proportionality cofactor passes a spot check at two such points (see
+numoracle); engine failures are recorded as status "error", never swallowed.
+A confirmation's note prints its residual, or `numeric<=1e-12` when it is at
+or below that floor; a confirmation mod a prime that passes has residual 0.0.
 
 The transported images of the closing equations (E_CHn under the reciprocal
 change and D_x(E_Qn) under the Qiao one) are published in the report details
@@ -71,8 +71,8 @@ class VerificationReport:
 
 
 class _Runner:
-    """Collects check results and the shared numeric bookkeeping for one cell:
-    its checks sample through one SampleWalks, which ends with the cell."""
+    """Collects check results for one cell; its checks draw their sample
+    points from streams seeded by the cell's seed."""
 
     def __init__(self, claim, n, seed):
         self.claim = claim
@@ -81,13 +81,12 @@ class _Runner:
         self.checks = []
         self.cofactor = None
         self.terms = 0
-        self.walks = numoracle.SampleWalks()
 
     def add(self, label, ok, note=""):
         self.checks.append(CheckResult(label, "pass" if ok else "fail", note))
 
     def zero_check(self, label, expr, space, system=None):
-        """Symbolic zero plus the 100-point numeric confirmation.  A non-zero
+        """Symbolic zero plus the confirmation mod a prime.  A non-zero
         normal form refutes only modulo a coherent system (or none); modulo
         one not shown coherent it decides nothing and records error."""
         reduced = expr if system is None else system.reduce(expr)
@@ -100,8 +99,7 @@ class _Runner:
                     label, "error", "not decided: non-zero normal form modulo "
                                     "a system not shown coherent"))
             return
-        worst = numoracle.confirm_zero(expr, space, self.seed, points=100,
-                                       system=system, walks=self.walks)
+        worst = numoracle.confirm_zero(expr, space, self.seed, system=system)
         if worst > ZERO_TOL:
             self.add(label, False, f"numeric residual {worst:.2e} above {ZERO_TOL:.0e}")
             return
@@ -113,8 +111,7 @@ class _Runner:
         if cof is None:
             self.add(label, False, "not proportional")
             return None
-        ok = numoracle.numeric_proportionality(lhs, rhs, cof, trials=100,
-                                               seed=self.seed, walks=self.walks)
+        ok = numoracle.numeric_proportionality(lhs, rhs, cof, seed=self.seed)
         note = f"cofactor {cof.text()}"
         self.add(label, ok, note if ok else note + "; numeric spot check failed")
         self.terms += len(lhs.num.terms)

@@ -355,11 +355,19 @@ def from_json(text, space):
         raise ValueError(
             f"serialized for space {tree['space']!r}, not {space.name!r}")
 
+    def whole(k, least):
+        return type(k) is int and k >= least
+
     def poly(items):
         terms = {}
         for coeff_s, factors in items:
+            coeff = Fraction(coeff_s)
+            if not coeff:
+                raise ValueError("serialized term has a zero coefficient")
             pairs = []
             for name, index, orders, exp in factors:
+                if not (whole(exp, 1) and all(whole(k, 0) for _, k in orders)):
+                    raise ValueError("serialized orders and exponents must be whole numbers")
                 try:
                     jet = space.field(name, index).jet(**{v: k for v, k in orders})
                 except KeyError as exc:
@@ -367,13 +375,18 @@ def from_json(text, space):
                 except UnknownVariableError as exc:
                     raise ValueError(str(exc)) from None
                 pairs.append((jet, exp))
-            terms[Monomial.from_pairs(pairs)] = Fraction(coeff_s)
+            mono = Monomial.from_pairs(pairs)
+            if mono in terms:
+                raise ValueError("serialized polynomial repeats a monomial")
+            terms[mono] = coeff
         return DiffPoly(terms)
 
     try:
         return RatExpr.make(poly(tree["num"]), poly(tree["den"]))
     except ZeroDivisionExprError:
         raise ValueError("serialized denominator is zero") from None
+    except (TypeError, ZeroDivisionError) as exc:  # a malformed tree
+        raise ValueError(f"malformed serialized expression: {exc}") from None
 
 
 def print_expr(e, fmt="text"):

@@ -1,7 +1,7 @@
 """Shared test utilities: constrained samplers for transportable expressions,
-the reference numeric oracle, the reference monomial order, the reference
-exact core, the reference common-denominator search and the reference
-step-by-step rewrite loop."""
+the reference float evaluator, the reference checks modulo PRIME, the
+reference monomial order, the reference exact core, the reference
+common-denominator search and the reference step-by-step rewrite loop."""
 
 import math
 import random
@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from jetcalc.diffalg import (_POLY_ONE, RAT_ZERO, DiffPoly, Monomial, RatExpr,
                              ZeroDivisionExprError, _limits)
-from jetcalc.numoracle import DEN_FLOOR, ZERO_TOL, SmallDenominatorError, TestFunction
+from jetcalc.numoracle import DEN_FLOOR, PRIME, SmallDenominatorError
 from jetcalc.reduction import StepCapError
 
 
@@ -55,10 +55,10 @@ def random_poly_from(jets, rng, max_terms=3, max_factors=2, max_exp=2):
 
 
 
-# -- reference numeric oracle ------------------------------------------------
-# The recursive on-shell evaluator the library used before it lowered checks
-# into float programs, kept verbatim so that tests can demand bit-identical
-# floats from the library.
+# -- reference float evaluator -----------------------------------------------
+# The recursive on-shell float evaluator, written apart from the library's, so
+# that tests can demand bit-identical floats from sample_value and
+# consistent_point.
 
 def reference_jet_value(tf, jet, coords):
     total = 0.0
@@ -125,47 +125,82 @@ def reference_consistent_point(system, jets, tf, coords):
     return memo
 
 
-def reference_confirm_zero(e, space, seed, points=100, system=None):
-    tf = TestFunction(space, seed)
-    jets = list(e.jets())
-    rng = random.Random(seed * 7919 + 13)
-    worst, accepted = 0.0, 0
-    for _ in range(40 * points):
-        coords = tf.sample_coords(rng)
+# -- reference checks modulo PRIME -------------------------------------------
+# Zero and cofactor checks evaluated recursively from the expressions' terms,
+# apart from the library's lowered plans, so that tests can demand the same
+# verdicts from confirm_zero and numeric_proportionality.  Free jets draw
+# their values in the plans' slot order: each expression's jets in turn, the
+# jets of a led jet's rule before the led jet.
+
+def _reference_free_jets(system, exprs):
+    free, seen = [], set()
+
+    def visit(jet):
+        seen.add(jet)
+        rule = None if system is None else system.match(jet)
+        if rule is None:
+            free.append(jet)
+            return
+        for dep in system.prolonged_rhs(rule, jet).jets():
+            if dep not in seen:
+                visit(dep)
+
+    for e in exprs:
+        for jet in e.jets():
+            if jet not in seen:
+                visit(jet)
+    return free
+
+
+def reference_value_mod(system, e, values):
+    """e mod PRIME where free jets take values and led jets are computed
+    recursively from their rules, recorded in values."""
+    def value(jet):
+        if jet not in values:
+            rule = system.match(jet)
+            values[jet] = reference_value_mod(system, system.prolonged_rhs(rule, jet), values)
+        return values[jet]
+
+    def poly(p):
+        total = 0
+        for mono, coeff in p.terms.items():
+            coeff = Fraction(coeff)
+            term = coeff.numerator * pow(coeff.denominator, -1, PRIME)
+            for jet, exp in mono.factors:
+                term *= pow(value(jet), exp, PRIME)
+            total += term
+        return total % PRIME
+
+    den = poly(e.den)
+    if not den:
+        raise SmallDenominatorError("denominator vanishes mod PRIME")
+    return poly(e.num) * pow(den, -1, PRIME) % PRIME
+
+
+def _reference_points(system, exprs, stream, wanted):
+    """Per accepted point of the stream, the values of exprs mod PRIME."""
+    free = _reference_free_jets(system, exprs)
+    rng = random.Random(stream)
+    for _ in range(40 * wanted):
+        values = {jet: rng.randrange(1, PRIME) for jet in free}
         try:
-            values = reference_consistent_point(system, jets, tf, coords)
-            num, scale, _ = reference_evaluate(e, values.__getitem__)
+            yield [reference_value_mod(system, e, values) for e in exprs]
         except SmallDenominatorError:
             continue
-        worst = max(worst, abs(num) / max(scale, 1e-300))
-        accepted += 1
-        if accepted == points:
-            return worst
+        wanted -= 1
+        if not wanted:
+            return
     raise AssertionError("reference sampler ran out of points")
 
 
-def reference_numeric_proportionality(a, b, cofactor, trials=100, seed=0):
-    tf = TestFunction(a.space() or b.space(), seed)
-    cof = cofactor.as_ratexpr()
-    jets = set(a.jets()) | set(b.jets()) | set(cof.jets())
-    rng = random.Random(seed * 31337 + 7)
-    accepted = 0
-    for _ in range(40 * trials):
-        coords = tf.sample_coords(rng)
-        values = {j: reference_jet_value(tf, j, coords) for j in jets}
-        try:
-            na, _, da = reference_evaluate(a, values.__getitem__)
-            nc, _, dc = reference_evaluate(cof, values.__getitem__)
-            nb, _, db = reference_evaluate(b, values.__getitem__)
-        except SmallDenominatorError:
-            continue
-        va, vb = na / da, (nc / dc) * (nb / db)
-        if abs(va - vb) > ZERO_TOL * max(1.0, abs(va), abs(vb)):
-            return False
-        accepted += 1
-        if accepted == trials:
-            return True
-    raise AssertionError("reference sampler ran out of points")
+def reference_confirm_zero(e, space, seed, points=2, system=None):
+    values = _reference_points(system, [e], seed * 7919 + 13, points)
+    return 1.0 if any(v for v, in values) else 0.0
+
+
+def reference_numeric_proportionality(a, b, cofactor, trials=2, seed=0):
+    values = _reference_points(None, [a, cofactor.as_ratexpr(), b], seed * 31337 + 7, trials)
+    return all(va == vc * vb % PRIME for va, vc, vb in values)
 
 
 # -- reference monomial order ------------------------------------------------

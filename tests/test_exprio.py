@@ -143,6 +143,35 @@ def test_from_json_rejects_an_empty_denominator():
         from_json(json.dumps(tree), CH)
 
 
+_P_X = ["1", [["P", None, [["X", 1]], 1]]]  # the one term of P_{X}
+
+
+@pytest.mark.parametrize("path, value", [
+    (("num", 0, 0), "0"),
+    (("num", 0, 0), "1/0"),
+    (("den",), [["0", []]]),
+    (("num", 0, 1, 0, 2), [["X", "1"]]),
+    (("num", 0, 1, 0, 3), "1"),
+    (("num", 0, 1, 0, 3), 1.5),
+    (("num", 0, 1, 0, 3), True),
+    (("num",), 5),
+    (("num", 0, 1, 0, 0), ["P"]),
+    (("num",), [_P_X, _P_X]),
+], ids=["zero-coefficient", "coefficient-over-zero", "zero-denominator-term",
+        "string-order", "string-exponent", "fractional-exponent", "boolean-exponent",
+        "num-not-a-list", "list-field-name", "repeated-monomial"])
+def test_from_json_rejects_a_malformed_term(path, value):
+    tree = json.loads(to_json(parse("P_{X}", CH)))
+    assert tree["num"] == [_P_X]
+    *keys, last = path
+    node = tree
+    for key in keys:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(ValueError):
+        from_json(json.dumps(tree), CH)
+
+
 def test_latex_derivative_subscripts():
     assert print_latex(parse("Omega[1]_{X,X,X}", CH)) == r"\Omega^{(1)}_{XXX}"
     assert print_latex(parse("w[2]_{x}", Q)) == r"\omega^{(2)}_{x}"

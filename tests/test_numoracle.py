@@ -1,6 +1,6 @@
-"""Numeric oracle: evaluation, finite differences, proportionality checks."""
+"""Numeric oracle: float evaluation and finite differences, and the zero and
+proportionality checks modulo a prime."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -13,10 +13,9 @@ from jetcalc import claims, numoracle
 from jetcalc.diffalg import Cofactor, DiffPoly, RatExpr, proportional, random_expr
 from jetcalc.exprio import parse
 from jetcalc.hierarchies import ch_space, gen_cbs_family, gen_ch, q_space, r_space
-from jetcalc.numoracle import (FD_TOL, ZERO_TOL, NumericError, SampleWalks,
-                               SmallDenominatorError, TestFunction, confirm_zero,
-                               consistent_point, eval_expr, fd_check, numeric_proportionality,
-                               relative_residual, sample_value)
+from jetcalc.numoracle import (FD_TOL, PRIME, ZERO_TOL, NumericError, SmallDenominatorError,
+                               TestFunction, confirm_zero, consistent_point, eval_expr, fd_check,
+                               numeric_proportionality, relative_residual, sample_value)
 from jetcalc.reduction import JetRanking, RewriteRule, RewriteSystem, standard_systems
 from jetcalc.transform import build_map, transport
 
@@ -24,12 +23,8 @@ R2 = r_space(2)
 
 
 def _at(e, values):
-    """e lowered for a test function on R2 as its program 0, and a sample
-    of that plan, a batch of one point at which every jet of e is a known
-    free jet of the given value; a plan run reads known values before the
-    test function's."""
-    plan = numoracle._Plan(TestFunction(R2, 0), None, (e,))
-    return 0, numoracle._Sample(plan, numoracle._Batch([(None, dict(values))], {}), 0)
+    """eval_expr's arguments for e where each jet takes the given value."""
+    return e, values.__getitem__
 
 
 def test_eval_square():
@@ -141,24 +136,31 @@ def test_confirm_zero_on_transported_conservative_equation():
     assert confirm_zero(img, r_space(3), seed=0, points=100) == 0.0
 
 
-def test_relative_residual_scales_by_term_magnitude():
-    e = parse("X_{T0} - X_{T0}", R2) + parse("X_{T1}", R2) - parse("X_{T1}", R2)
-    assert e.is_zero()
-    big = parse("1000000*X_{T0} + 1", R2)
-    assert relative_residual(*_at(big, {R2.jet("X", T0=1): 1.0})) == pytest.approx(
-        (1000000 + 1) / (1000000 + 1), rel=1e-12)
+def test_relative_residual_is_exact_mod_the_prime():
+    # 10**6*X_{T0} + 1 vanishes where X_{T0} = -1/10**6 mod PRIME and
+    # nowhere else; its value at any other point is a residual of 1.0
+    plan = numoracle._Plan(None, (parse("1000000*X_{T0} + 1", R2),))
+    root = -pow(10**6, -1, PRIME) % PRIME
+    assert relative_residual(0, plan, [root]) == 0.0
+    assert relative_residual(0, plan, [root + 1]) == 1.0
+    with pytest.raises(SmallDenominatorError):
+        relative_residual(0, numoracle._Plan(None, (parse("1/X_{T0}", R2),)), [0])
 
 
-@pytest.mark.parametrize("check", [
-    lambda e: confirm_zero(e, R2, seed=0),
-    lambda e: numeric_proportionality(e, e, proportional(e, e)),
-    lambda e: fd_check(e, "T0", TestFunction(R2, seed=0)),
+# PRIME*X_{T0} is 0 mod PRIME at every point, so no denominator is usable;
+# for fd_check, X is a sum of two-variable terms, so a jet on three
+# variables is 0 at every point
+_PRIME_DEN = RatExpr(R2.expr("X", T1=1).num, R2.expr("X", T0=1).num.scale(PRIME))
+
+
+@pytest.mark.parametrize("check, e", [
+    (lambda e: confirm_zero(e, R2, seed=0), _PRIME_DEN),
+    (lambda e: numeric_proportionality(e, e, Cofactor(1, ())), _PRIME_DEN),
+    (lambda e: fd_check(e, "T0", TestFunction(R2, seed=0)), parse("1/X_{T0,T1,T2}", R2)),
 ], ids=["confirm_zero", "numeric_proportionality", "fd_check"])
-def test_sampler_gives_up_without_well_conditioned_points(check):
-    # X is a sum of two-variable terms, so a jet on three variables is 0
-    # at every point and no denominator is ever usable
+def test_sampler_gives_up_without_well_conditioned_points(check, e):
     with pytest.raises(NumericError):
-        check(parse("1/X_{T0,T1,T2}", R2))
+        check(e)
 
 
 def test_numeric_proportionality_without_jets_is_exact():
@@ -192,12 +194,13 @@ def _zero_checks(claim, n):
     ("C3", 3, True), ("C5", 3, True), ("C8", 2, True), ("C5", 2, False)])
 def test_confirm_zero_is_bit_identical_to_the_reference(claim, n, on_shell):
     # C3/C5 run on-shell for BCBS and C8 for CH; off-shell, a C5 expression
-    # leaves a residual of order one
+    # does not vanish
     for k, (expr, space, system) in enumerate(_zero_checks(claim, n)):
         seed = 1000 * n + k
         system = system if on_shell else None
-        got = confirm_zero(expr, space, seed, points=100, system=system)
-        assert got == reference_confirm_zero(expr, space, seed, points=100, system=system)
+        got = confirm_zero(expr, space, seed, points=20, system=system)
+        assert got == reference_confirm_zero(expr, space, seed, points=20, system=system)
+        assert got == (0.0 if on_shell else 1.0)
 
 
 @pytest.mark.parametrize("claim,n,on_shell", [("C5", 2, False), ("C3", 3, True)])
@@ -270,9 +273,8 @@ def test_numeric_proportionality_is_bit_identical_to_the_reference():
     good = proportional(img, target)
     bad = Cofactor(good.coeff * (1 + Fraction(1, 1000)), good.powers)
     for cof, expected in ((good, True), (bad, False)):
-        got = numeric_proportionality(img, target, cof, trials=100, seed=0)
-        assert got == reference_numeric_proportionality(img, target, cof,
-                                                        trials=100, seed=0)
+        got = numeric_proportionality(img, target, cof, trials=20, seed=0)
+        assert got == reference_numeric_proportionality(img, target, cof, trials=20, seed=0)
         assert got is expected
 
 
@@ -303,128 +305,71 @@ def _run_cell(monkeypatch, claim, n, check):
 
 @pytest.mark.parametrize("claim", claims.CLAIM_IDS)
 def test_every_numeric_check_of_a_cell_is_bit_identical_to_the_reference(monkeypatch, claim):
-    # the checks of a cell share walks and evaluate batches of points; the
-    # reference evaluates each check alone, one point at a time
+    # the library evaluates lowered plans; the reference evaluates each
+    # expression recursively from its terms
     zero = _record(monkeypatch, "confirm_zero")
     proportional = _record(monkeypatch, "numeric_proportionality")
     runner = claims._Runner(claim, 3, 0)
     getattr(claims, "_" + claim.lower())(runner, 3)
     assert zero or proportional
     for (expr, space, seed), kwargs, got in zero:
-        assert got == reference_confirm_zero(expr, space, seed, points=100,
-                                             system=kwargs["system"])
+        assert got == reference_confirm_zero(expr, space, seed, system=kwargs["system"]) == 0.0
     for (lhs, rhs, cof), kwargs, got in proportional:
-        assert got is reference_numeric_proportionality(lhs, rhs, cof, trials=100,
-                                                        seed=kwargs["seed"])
+        assert got is reference_numeric_proportionality(lhs, rhs, cof, seed=kwargs["seed"])
+        assert got is True
 
 
+# a cell's walk is the sampler stream that its seed starts: every check of
+# the cell draws its points from it
 @pytest.mark.parametrize("claim", ["C3", "C5", "C7", "C9"])
 def test_zero_checks_of_a_cell_share_one_walk(monkeypatch, claim):
     runner, calls = _run_cell(monkeypatch, claim, 4, "confirm_zero")
-    assert len(runner.walks.walks) == 1
     for (expr, space, seed), kwargs, got in calls:
-        assert seed == runner.seed and kwargs["walks"] is runner.walks
-        assert got == reference_confirm_zero(expr, space, seed, points=100,
-                                             system=kwargs["system"])
+        assert seed == runner.seed
+        assert got == reference_confirm_zero(expr, space, seed, system=kwargs["system"])
 
 
 def test_proportionality_checks_of_a_cell_share_one_walk(monkeypatch):
     runner, calls = _run_cell(monkeypatch, "C4", 4, "numeric_proportionality")
     assert len(calls) == 3
-    # C4's zero check is a symbolic zero, which samples no point
-    assert len(runner.walks.walks) == 1
     for (lhs, rhs, cof), kwargs, got in calls:
-        assert kwargs["seed"] == runner.seed and kwargs["walks"] is runner.walks
-        assert got is reference_numeric_proportionality(lhs, rhs, cof, trials=100,
-                                                        seed=runner.seed)
+        assert kwargs["seed"] == runner.seed
+        assert got is reference_numeric_proportionality(lhs, rhs, cof, seed=runner.seed)
 
 
-def _rule_rejecting_the_first_point(seed):
-    """The coords of confirm_zero's first point at seed, and a system with
-    the one rule X_{T0,T1} -> 1/(X_{T0} - c), where c is the value of X_{T0}
-    at that point: the rule rejects the point for every check reading
-    X_{T0,T1}."""
-    tf = TestFunction(R2, seed)
-    coords = tf.sample_coords(random.Random(seed * 7919 + 13))
-    c = Fraction(reference_jet_value(tf, R2.jet("X", T0=1), coords))
-    rule = RewriteRule(R2.jet("X", T0=1, T1=1),
-                       RatExpr.const(1) / (R2.expr("X", T0=1) - c), "synthetic")
-    return coords, RewriteSystem([rule], JetRanking(R2))
-
-
-def _vanishing_at(seed, stream, points):
-    """The product of X_{T0} - c over the values c of X_{T0} at the given
-    points of R2's sampler stream at seed: a denominator too small at
-    those points and at no other point of the stream's first few."""
-    tf = TestFunction(R2, seed)
+def _vanishing_at(stream, points):
+    """The product of X_{T0} - c over the values c that the given points of
+    a sampler stream draw for a check's first free jet: a denominator that
+    vanishes at those points, and at no other point of the first few, of
+    every check whose first free jet is X_{T0}."""
     rng = random.Random(stream)
-    drawn = [tf.sample_coords(rng) for _ in range(max(points) + 1)]
+    drawn = [rng.randrange(1, PRIME) for _ in range(max(points) + 1)]
     den = RatExpr.const(1)
     for j in points:
-        den = den * (R2.expr("X", T0=1)
-                     - Fraction(reference_jet_value(tf, R2.jet("X", T0=1), drawn[j])))
+        den = den * (R2.expr("X", T0=1) - drawn[j])
     return den
 
 
-def test_a_led_jets_rejections_inside_a_batch_are_made_up_by_the_next_batch():
-    # points 0 and 2 of the first batch are rejected, so a second batch
-    # draws the two points 5 and 6
-    seed = 7
-    den = _vanishing_at(seed, seed * 7919 + 13, (0, 2))
-    system = RewriteSystem([RewriteRule(R2.jet("X", T0=1, T1=1), RatExpr.const(1) / den,
-                                        "synthetic")], JetRanking(R2))
-    reads = R2.expr("X", T0=1, T1=1) + R2.expr("X", T1=1)
-    walks = SampleWalks()
-    got = confirm_zero(reads, R2, seed, points=5, system=system, walks=walks)
-    (walk,) = walks.walks.values()
-    assert len(walk.points) == 7
-    assert got == reference_confirm_zero(reads, R2, seed, points=5, system=system)
-
-
-def test_proportionality_rejections_inside_a_batch_are_made_up_by_the_next_batch():
-    # points 0 and 2 of the first batch are rejected: the true cofactor
-    # needs the points 5 and 6 of a second batch, and the first accepted
-    # point refutes the doubled one
-    seed = 7
-    e = R2.expr("X", T1=1) / _vanishing_at(seed, seed * 31337 + 7, (0, 2))
-    for cof, expected, drawn in ((Cofactor(1, ()), True, 7), (Cofactor(2, ()), False, 5)):
-        walks = SampleWalks()
-        got = numeric_proportionality(e, e, cof, trials=5, seed=seed, walks=walks)
-        assert got is expected
-        assert got is reference_numeric_proportionality(e, e, cof, trials=5, seed=seed)
-        (walk,) = walks.walks.values()
-        assert len(walk.points) == drawn
-
-
-def test_a_led_jets_rejection_rejects_only_the_checks_that_read_it():
-    seed = 7
-    coords, system = _rule_rejecting_the_first_point(seed)
+def _rule_with_denominator(den):
+    """The lead X_{T0,T1} and the system with the one rule X_{T0,T1} -> 1/den."""
     lead = R2.jet("X", T0=1, T1=1)
-    reads = R2.expr("X", T0=1, T1=1) + R2.expr("X", T1=1)
-    skips = R2.expr("X", T0=1) + R2.expr("X", T1=1)
-    walks = SampleWalks()
-    results = [confirm_zero(e, R2, seed, points=1, system=system, walks=walks)
-               for e in (reads, skips, reads)]
-    (walk,) = walks.walks.values()
-    assert len(walk.points) == 2
-    assert R2.jet("X", T1=1) in walk.points[0][1]
-    assert lead not in walk.points[0][1]
-    # with points=1 each result is the residual at the first point it accepts
-    for e, got in zip((reads, skips, reads), results):
-        assert got == reference_confirm_zero(e, R2, seed, points=1, system=system)
-    assert results[0] != results[1]
-    values = reference_consistent_point(None, skips.jets(), TestFunction(R2, seed), coords)
-    num, scale, _ = reference_evaluate(skips, values.__getitem__)
-    assert results[1] == abs(num) / max(scale, 1e-300)
+    rule = RewriteRule(lead, RatExpr.const(1) / den, "synthetic")
+    return RatExpr.from_jet(lead), RewriteSystem([rule], JetRanking(R2))
 
 
-def test_a_led_jets_rejection_leaves_through_relative_residual(monkeypatch):
-    # the plan runs inside relative_residual, so the led jet's
-    # SmallDenominatorError from _Plan.run passes through that public name,
-    # where a tracer wrapping it can count the rejected point
-    seed = 7
-    _, system = _rule_rejecting_the_first_point(seed)
-    original = numoracle.relative_residual
+def _rule_rejecting_the_first_point(seed):
+    """The lead, the denominator and the system of _rule_with_denominator,
+    whose rule rejects confirm_zero's first point at seed for every check
+    whose first free jet is X_{T0} and that reads X_{T0,T1}."""
+    den = _vanishing_at(seed * 7919 + 13, (0,))
+    lead, system = _rule_with_denominator(den)
+    return lead, den, system
+
+
+def _outcomes(monkeypatch, owner=numoracle, name="relative_residual"):
+    """The list to which each later call of owner.name appends its result or
+    the SmallDenominatorError it raises."""
+    original = getattr(owner, name)
     outcomes = []
 
     def wrapped(*args):
@@ -436,11 +381,56 @@ def test_a_led_jets_rejection_leaves_through_relative_residual(monkeypatch):
         outcomes.append(result)
         return result
 
-    monkeypatch.setattr(numoracle, "relative_residual", wrapped)
-    reads = R2.expr("X", T0=1, T1=1) + R2.expr("X", T1=1)
-    got = confirm_zero(reads, R2, seed, points=1, system=system)
+    monkeypatch.setattr(owner, name, wrapped)
+    return outcomes
+
+
+def _rejected(outcomes):
+    return [k for k, out in enumerate(outcomes) if isinstance(out, SmallDenominatorError)]
+
+
+def test_rejected_points_are_made_up_by_later_points(monkeypatch):
+    # points 0 and 2 are rejected, so five accepted points take seven draws;
+    # the first accepted point refutes a doubled cofactor
+    seed = 7
+    den = _vanishing_at(seed * 7919 + 13, (0, 2))
+    lead, system = _rule_with_denominator(den)
+    runs = _outcomes(monkeypatch, numoracle._Plan, "run")
+    assert confirm_zero(lead * den - 1, R2, seed, points=5, system=system) == 0.0
+    assert len(runs) == 7 and _rejected(runs) == [0, 2]
+    e = 1 / _vanishing_at(seed * 31337 + 7, (0, 2))
+    for cof, expected, drawn, rejected in ((Cofactor(1, ()), True, 7, [0, 2]),
+                                           (Cofactor(2, ()), False, 2, [0])):
+        runs.clear()
+        assert numeric_proportionality(e, e, cof, trials=5, seed=seed) is expected
+        assert len(runs) == drawn and _rejected(runs) == rejected
+
+
+def test_a_led_jets_rejection_rejects_only_the_checks_that_read_it(monkeypatch):
+    # both checks have X_{T0} as their only free jet; the one that reads
+    # the lead rejects the first point and draws two more, the other
+    # accepts the first point and stops there, since it does not vanish
+    seed = 7
+    lead, den, system = _rule_rejecting_the_first_point(seed)
+    outcomes = _outcomes(monkeypatch)
+    assert confirm_zero(lead - 1 / den, R2, seed, system=system) == 0.0
+    rejected, *accepted = outcomes
+    assert isinstance(rejected, SmallDenominatorError) and accepted == [0.0, 0.0]
+    outcomes.clear()
+    assert confirm_zero(R2.expr("X", T0=1), R2, seed, system=system) == 1.0
+    assert outcomes == [1.0]
+
+
+def test_a_led_jets_rejection_leaves_through_relative_residual(monkeypatch):
+    # the plan runs inside relative_residual, so the led jet's
+    # SmallDenominatorError from _Plan.run passes through that public name,
+    # where a tracer wrapping it can count the rejected point
+    seed = 7
+    lead, den, system = _rule_rejecting_the_first_point(seed)
+    outcomes = _outcomes(monkeypatch)
+    got = confirm_zero(lead - 1 / den, R2, seed, points=1, system=system)
     rejected, accepted = outcomes
-    assert accepted == got
+    assert accepted == got == 0.0
     assert isinstance(rejected, SmallDenominatorError)
     tb, codes = rejected.__traceback__, []
     while tb is not None:
@@ -449,23 +439,54 @@ def test_a_led_jets_rejection_leaves_through_relative_residual(monkeypatch):
     assert numoracle._Plan.run.__code__ in codes
 
 
-def test_a_jet_free_in_one_system_is_computed_from_the_rule_of_a_system_that_leads_it():
-    # B leaves X_{T0,T1} free, so its checks record the test function's
-    # value of that jet at the walk's points; A leads it, and on the same
-    # walk A's check must still compute it from A's rule
+def test_a_jet_free_in_one_system_is_computed_from_the_rule_of_a_system_that_leads_it(
+        monkeypatch):
+    # a leads X_{T0,T1} and rejects the first point; b leaves it free, so
+    # the same check draws it and fails at the first point
     seed = 7
-    lead = R2.jet("X", T0=1, T1=1)
-    rhs = R2.expr("X", T0=1) * R2.expr("X", T1=1)
-    a = RewriteSystem([RewriteRule(lead, rhs, "synthetic")], JetRanking(R2))
+    lead, den, a = _rule_rejecting_the_first_point(seed)
     squared = R2.expr("X", T0=1) * R2.expr("X", T0=1)
     b = RewriteSystem([RewriteRule(R2.jet("X", T0=2), squared, "synthetic")], JetRanking(R2))
-    e = R2.expr("X", T0=1, T1=1) - rhs
-    walks = SampleWalks()
-    off_shell = confirm_zero(e + R2.expr("X", T0=2) - squared, R2, seed,
-                             points=20, system=b, walks=walks)
-    (walk,) = walks.walks.values()
-    assert lead in walk.points[0][1]
-    on_shell = confirm_zero(e, R2, seed, points=20, system=a, walks=walks)
-    assert len(walks.walks) == 1
-    assert on_shell == reference_confirm_zero(e, R2, seed, points=20, system=a)
-    assert on_shell <= ZERO_TOL < off_shell
+    e = lead * den - 1
+    outcomes = _outcomes(monkeypatch)
+    assert confirm_zero(e, R2, seed, system=a) == 0.0
+    assert isinstance(outcomes[0], SmallDenominatorError) and outcomes[1:] == [0.0, 0.0]
+    outcomes.clear()
+    assert confirm_zero(e, R2, seed, system=b) == 1.0
+    assert outcomes == [1.0]
+
+
+def _sub_tolerance_mutants(n):
+    """Each zero-check input of run_all(n) that is not zero before reduction,
+    with one of its first three numerator terms scaled by 1 + 1e-10, kept
+    where it stays non-zero after reduction; as (mutant, space, seed,
+    system)."""
+    calls = []
+    zero_check = claims._Runner.zero_check
+
+    def recorded(self, label, expr, space, system=None):
+        calls.append((expr, space, self.seed, system))
+        zero_check(self, label, expr, space, system)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(claims._Runner, "zero_check", recorded)
+        claims.run_all(n)
+    mutants = []
+    for expr, space, seed, system in calls:
+        items = list(expr.num.terms.items())
+        for mono, coeff in items[:3]:
+            terms = dict(items)
+            terms[mono] = coeff * (1 + Fraction(1, 10**10))
+            mutant = RatExpr(DiffPoly(terms), expr.den)
+            if not (mutant if system is None else system.reduce(mutant)).is_zero():
+                mutants.append((mutant, space, seed, system))
+    return mutants
+
+
+def test_confirm_zero_flags_every_sub_tolerance_mutant():
+    # a relative error of 1e-10 is below ZERO_TOL in floats, but not zero
+    # mod PRIME
+    mutants = _sub_tolerance_mutants(4)
+    assert len(mutants) == 108
+    for mutant, space, seed, system in mutants:
+        assert confirm_zero(mutant, space, seed, system=system) > ZERO_TOL
