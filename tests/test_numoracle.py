@@ -389,16 +389,24 @@ def _rejected(outcomes):
     return [k for k, out in enumerate(outcomes) if isinstance(out, SmallDenominatorError)]
 
 
-def test_rejected_points_are_made_up_by_later_points(monkeypatch):
-    # points 0 and 2 are rejected, so five accepted points take seven draws;
-    # the first accepted point refutes a doubled cofactor
+def test_a_led_jets_rejections_inside_a_batch_are_made_up_by_the_next_batch(monkeypatch):
+    # points are drawn one at a time; the led jet rejects points 0 and 2,
+    # so five accepted points take seven draws
     seed = 7
     den = _vanishing_at(seed * 7919 + 13, (0, 2))
     lead, system = _rule_with_denominator(den)
     runs = _outcomes(monkeypatch, numoracle._Plan, "run")
     assert confirm_zero(lead * den - 1, R2, seed, points=5, system=system) == 0.0
     assert len(runs) == 7 and _rejected(runs) == [0, 2]
+
+
+def test_proportionality_rejections_inside_a_batch_are_made_up_by_the_next_batch(monkeypatch):
+    # points are drawn one at a time; points 0 and 2 are rejected, so five
+    # accepted points take seven draws, and the first accepted point
+    # refutes a doubled cofactor
+    seed = 7
     e = 1 / _vanishing_at(seed * 31337 + 7, (0, 2))
+    runs = _outcomes(monkeypatch, numoracle._Plan, "run")
     for cof, expected, drawn, rejected in ((Cofactor(1, ()), True, 7, [0, 2]),
                                            (Cofactor(2, ()), False, 2, [0])):
         runs.clear()
