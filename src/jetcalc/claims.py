@@ -10,6 +10,11 @@ numoracle); engine failures are recorded as status "error", never swallowed.
 A confirmation's note prints its residual, or `numeric<=1e-12` when it is at
 or below that floor; a confirmation mod a prime that passes has residual 0.0.
 
+run_all runs its cells n-major, and within one run the cells of a size share
+the equations, maps and CH system they build, jet and prolongation memos
+included; a cell's `millis` charges a shared build to the first cell of its
+size that needs it.  A run_claim call outside run_all builds afresh.
+
 The transported images of the closing equations (E_CHn under the reciprocal
 change and D_x(E_Qn) under the Qiao one) are published in the report details
 but not judged: the source text displays no target form for them.
@@ -18,6 +23,7 @@ but not judged: the source text displays no target form for them.
 from __future__ import annotations
 
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,6 +36,10 @@ CLAIM_IDS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9")
 # a worst residual at or below this prints as the floor: below it the digits
 # are rounding noise that depends on libm and on float operation order
 _NOTE_FLOOR = 1e-12
+
+# while run_all runs: {n: {(builder, args): object}} for the one size n whose
+# cells are running; None outside it, where every cell builds afresh
+_shared = ContextVar("shared", default=None)
 
 
 @dataclass(frozen=True)
@@ -85,7 +95,7 @@ class _Runner:
     def add(self, label, ok, note=""):
         self.checks.append(CheckResult(label, "pass" if ok else "fail", note))
 
-    def zero_check(self, label, expr, space, system=None):
+    def zero_check(self, label, expr, system=None):
         """Symbolic zero plus the confirmation mod a prime.  A non-zero
         normal form refutes only modulo a coherent system (or none); modulo
         one not shown coherent it decides nothing and records error."""
@@ -99,7 +109,7 @@ class _Runner:
                     label, "error", "not decided: non-zero normal form modulo "
                                     "a system not shown coherent"))
             return
-        worst = numoracle.confirm_zero(expr, space, self.seed, system=system)
+        worst = numoracle.confirm_zero(expr, self.seed, system=system)
         if worst > ZERO_TOL:
             self.add(label, False, f"numeric residual {worst:.2e} above {ZERO_TOL:.0e}")
             return
@@ -132,6 +142,29 @@ class _Runner:
             self.cofactor = cofs[0].text()
 
 
+def _built(fn, *args):
+    """fn(*args), for a builder whose last argument is the size n.  Inside
+    run_all the cells of one size share it, memos included; the objects of
+    the last size are dropped when the first cell of the next builds."""
+    shared = _shared.get()
+    if shared is None:
+        return fn(*args)
+    n = args[-1]
+    if n not in shared:
+        shared.clear()
+        shared[n] = {}
+    memo = shared[n]
+    if (fn, args) not in memo:
+        memo[fn, args] = fn(*args)
+    return memo[fn, args]
+
+
+def _open_scope():
+    """Open the scope _built fills: for one serial run_all, or for the life
+    of a pool worker."""
+    return _shared.set({})
+
+
 def _rep(runner, t0):
     statuses = {c.status for c in runner.checks}
     status = next((s for s in ("error", "fail") if s in statuses), "pass")
@@ -142,16 +175,16 @@ def _rep(runner, t0):
 
 
 def _c1(r, n):
-    m = transform.build_map("R_CH", n)
-    eq = hier.gen_ch(n)[0]
+    m = _built(transform.build_map, "R_CH", n)
+    eq = _built(hier.gen_ch, n)[0]
     img = m.transport(eq.residual)
-    r.zero_check("transport(R_CH, E_CH0)", img, hier.r_space(n))
+    r.zero_check("transport(R_CH, E_CH0)", img)
 
 
 def _c2(r, n):
-    m = transform.build_map("R_CH", n)
-    eqs = hier.gen_ch(n)
-    fam = hier.gen_cbs_family(n)
+    m = _built(transform.build_map, "R_CH", n)
+    eqs = _built(hier.gen_ch, n)
+    fam = _built(hier.gen_cbs_family, n)
     r.uniform_cofactor((f"E_CH{i} ~ bcbs_{i}", m.transport(eqs[i].residual),
                         fam.bcbs[i - 1].residual) for i in range(1, n))
     closing = m.transport(eqs[n].residual)
@@ -198,22 +231,21 @@ def _modulo_each_bcbs_rule(r, cbs, label, why, substituted):
     system = reduction.bcbs_system(cbs)
     for i, rule in enumerate(system.rules, start=1):
         one_rule = reduction.RewriteSystem([rule], system.ranking)
-        r.zero_check(label.format(i), substituted(i), system.ranking.space, system=one_rule)
+        r.zero_check(label.format(i), substituted(i), system=one_rule)
 
 
 def _c3(r, n):
-    fam = hier.gen_cbs_family(n)
+    fam = _built(hier.gen_cbs_family, n)
     _modulo_each_bcbs_rule(r, fam, "cbs_{} modulo bcbs", "no CBS equations at n=1",
                            lambda i: _substituted_cbs(n, i, fam))
 
 
 def _c4(r, n):
-    m = transform.build_map("R_Q", n)
-    qeqs = {e.label: e for e in hier.gen_qiao(n)}
-    fam = hier.gen_mcbs_family(n)
-    rsp = hier.r_space(n)
+    m = _built(transform.build_map, "R_Q", n)
+    qeqs = {e.label: e for e in _built(hier.gen_qiao, n)}
+    fam = _built(hier.gen_mcbs_family, n)
     img0 = m.transport(qeqs["E_Q0"].residual)
-    r.zero_check("transport(R_Q, E_Q0)", img0, rsp)
+    r.zero_check("transport(R_Q, E_Q0)", img0)
     r.uniform_cofactor((f"E_Q{i} ~ bmcbs_{i}", m.transport(qeqs[f"E_Q{i}"].residual),
                         fam.bmcbs[i - 1].residual) for i in range(1, n))
     closing = m.transport(qeqs[f"E_Q{n}n"].residual.total_derivative("x"))
@@ -236,17 +268,17 @@ def _miura_substituted_bmcbs(n, i, fam, rels):
 
 
 def _c5(r, n):
-    fam = hier.gen_mcbs_family(n)
-    rels = {e.label: e for e in hier.gen_miura_relations(n)}
-    _modulo_each_bcbs_rule(r, hier.gen_cbs_family(n),
+    fam = _built(hier.gen_mcbs_family, n)
+    rels = {e.label: e for e in _built(hier.gen_miura_relations, n)}
+    _modulo_each_bcbs_rule(r, _built(hier.gen_cbs_family, n),
                            "bmcbs_{} under the Miura substitutions",
                            "no transformed middle equations at n=1",
                            lambda i: _miura_substituted_bmcbs(n, i, fam, rels))
 
 
 def _c6(r, n):
-    m = transform.back_mix_map(n)
-    rels = {e.label: e for e in hier.gen_miura_relations(n)}
+    m = _built(transform.back_mix_map, n)
+    rels = {e.label: e for e in _built(hier.gen_miura_relations, n)}
     img = m.transport(rels["HEIGHTS_R"].residual)
     cleared = RatExpr.make(img.num)
     cof = r.proportional_check("heights residual ~ P^2 - u(P - P_X)",
@@ -259,10 +291,10 @@ def _c7(r, n):
     if n == 1:
         r.add("vacuous", True, "field relations range over i=1..n-1")
         return
-    m = transform.miura_mix_map(n)
-    system = reduction.standard_systems("CH", n)
+    m = _built(transform.miura_mix_map, n)
+    system = _built(reduction.standard_systems, "CH", n)
     msp = hier.mr_space(n)
-    rels = {e.label: e for e in hier.gen_miura_relations(n)}
+    rels = {e.label: e for e in _built(hier.gen_miura_relations, n)}
     u = msp.expr("u")
     for i in range(1, n):
         # zero-integration-constant convention: v^(i) := v^(i)_xx + u*w^(i+1)
@@ -270,34 +302,32 @@ def _c7(r, n):
         resid = substitute_jet(rels[f"FIELDS_{i}a"].residual,
                                msp.jet("v", i), v_closed)
         img = m.transport(resid)
-        r.zero_check(f"FIELDS_{i} first form modulo CH", img,
-                     hier.ch_space(n), system=system)
+        r.zero_check(f"FIELDS_{i} first form modulo CH", img, system=system)
         second = m.transport(rels[f"FIELDS_{i}b"].residual)
         r.add(f"FIELDS_{i} second form follows identically", second.is_zero())
 
 
 def _c8(r, n):
-    m = transform.build_map("C_MR", n)
+    m = _built(transform.build_map, "C_MR", n)
     chs = hier.ch_space(n)
-    system = reduction.standard_systems("CH", n)
+    system = _built(reduction.standard_systems, "CH", n)
     x_X = chs.expr("P") / m.jet_image(m.source.jet("u"))
     x_T = m.jet_image(m.source.jet("w", 1)) - Fraction(1, 2) * chs.expr("Omega", 1) * x_X
     expr = total_derivative(x_X, "T") - total_derivative(x_T, "X")
-    r.zero_check("d^2 x = 0 cross-derivative modulo CH", expr, chs, system=system)
+    r.zero_check("d^2 x = 0 cross-derivative modulo CH", expr, system=system)
 
 
 def _c9(r, n):
-    m = transform.build_map("C_MR", n)
-    system = reduction.standard_systems("CH", n)
-    chs = hier.ch_space(n)
-    for eq in hier.gen_qiao(n):
+    m = _built(transform.build_map, "C_MR", n)
+    system = _built(reduction.standard_systems, "CH", n)
+    for eq in _built(hier.gen_qiao, n):
         resid = eq.residual
         label = eq.label
         if label == f"E_Q{n}n":
             resid = resid.total_derivative("x")
             label = f"D_x(E_Q{n}n)"
         img = m.transport(resid)
-        r.zero_check(f"{label} modulo CH", img, chs, system=system)
+        r.zero_check(f"{label} modulo CH", img, system=system)
 
 
 _CLAIM_FNS = {
@@ -329,25 +359,34 @@ def _cell(args):
 
 def run_all(n_max, claims=None, seed=0, jobs=1,
             step_cap=diffalg.DEFAULT_STEP_CAP, term_cap=diffalg.DEFAULT_TERM_CAP):
-    """Run each selected claim once for n = 1..n_max; cells may run in parallel
-    and are merged deterministically by (claim, n).  Each cell carries the caps,
-    because a pool worker does not inherit the caller's diffalg.limits."""
+    """Run each selected claim (all for claims=None) once for n = 1..n_max.
+    Cells run n-major, and the cells of one size share the objects _built
+    gives them; each pool worker keeps its own.  Cells may run in parallel
+    and are merged deterministically by (claim, n).  Each cell carries the
+    caps, because a pool worker does not inherit the caller's diffalg.limits."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    selected = list(dict.fromkeys(claims)) if claims else list(CLAIM_IDS)
+    selected = list(dict.fromkeys(CLAIM_IDS if claims is None else claims))
+    if not selected:
+        raise ValueError("no claim selected")
     for c in selected:
         if c not in _CLAIM_FNS:
             raise ValueError(f"unknown claim {c!r}")
     cells = [(c, n, seed, step_cap, term_cap)
-             for c in selected for n in range(1, n_max + 1)]
-    if jobs > 1:
+             for n in range(1, n_max + 1) for c in selected]
+    workers = min(jobs, len(cells))
+    if workers > 1:
         # imported here: serial runs and `import jetcalc.cli` do not pay for it
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_open_scope) as pool:
             reports = list(pool.map(_cell, cells))
     else:
-        reports = [_cell(args) for args in cells]
+        token = _open_scope()
+        try:
+            reports = [_cell(args) for args in cells]
+        finally:
+            _shared.reset(token)
     reports.sort(key=lambda rep: (CLAIM_IDS.index(rep.claim), rep.n))
     return reports

@@ -296,9 +296,9 @@ def relative_residual(k, plan, free):
     return 1.0 if plan.run(free)[k] else 0.0
 
 
-def confirm_zero(e, space, seed, points=2, system=None):
+def confirm_zero(e, seed, points=2, system=None):
     """0.0 if e (on-shell when a system is given) vanishes mod PRIME at
-    `points` points drawn from seed, else 1.0 (space is not read)."""
+    `points` points drawn from seed, else 1.0."""
     e = RatExpr._coerce(e)
     if e.is_zero():
         return 0.0

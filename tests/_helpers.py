@@ -193,7 +193,7 @@ def _reference_points(system, exprs, stream, wanted):
     raise AssertionError("reference sampler ran out of points")
 
 
-def reference_confirm_zero(e, space, seed, points=2, system=None):
+def reference_confirm_zero(e, seed, points=2, system=None):
     values = _reference_points(system, [e], seed * 7919 + 13, points)
     return 1.0 if any(v for v, in values) else 0.0
 

@@ -1,12 +1,14 @@
 """Claim runner behavior: outcomes, vacuous cells, determinism, error paths."""
 
+import concurrent.futures
+import contextvars
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from _helpers import reference_t0_first_image
-from jetcalc import claims, numoracle, transform
+from jetcalc import claims, numoracle, reduction, transform
 from jetcalc import hierarchies as hier
 from jetcalc.claims import CLAIM_IDS, CheckResult, _derivative, run_all, run_claim
 from jetcalc.diffalg import RatExpr, prolong
@@ -67,6 +69,12 @@ def test_run_all_rejects_bad_input():
         run_claim("C0", 1)
 
 
+def test_run_all_rejects_an_empty_selection():
+    with pytest.raises(ValueError, match="no claim selected"):
+        run_all(1, claims=[])
+    assert len(run_all(1, claims=None)) == len(CLAIM_IDS)
+
+
 def test_reports_are_reproducible():
     a = run_claim("C2", 2).record()
     b = run_claim("C2", 2).record()
@@ -111,6 +119,132 @@ def test_step_cap_error_is_reported():
     assert any("StepCapError" in c.note for c in rep.checks if c.status == "error")
 
 
+class _StubPool:
+    """Stands in for ProcessPoolExecutor and starts no process: its one
+    worker is a copied context, where the initializer opens the scope."""
+
+    made = []
+
+    def __init__(self, max_workers, initializer):
+        self.made.append(max_workers)
+        self.worker = contextvars.copy_context()
+        self.worker.run(initializer)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, cells):
+        return [self.worker.run(fn, cell) for cell in cells]
+
+
+# the builders whose objects the cells of one size share within run_all
+_SHARED = [(hier, "gen_ch"), (hier, "gen_qiao"), (hier, "gen_cbs_family"),
+           (hier, "gen_mcbs_family"), (hier, "gen_miura_relations"),
+           (transform, "build_map"), (transform, "back_mix_map"),
+           (transform, "miura_mix_map"), (reduction, "standard_systems")]
+
+
+def _count_builds(monkeypatch):
+    """Wrap every shared builder; the returned list collects (name, *args)
+    for each call not made from inside another builder (standard_systems
+    generates the CH equations, and C_MR builds B_CH)."""
+    calls, depth = [], [0]
+
+    def counted(name, build):
+        def wrapper(*args):
+            if not depth[0]:
+                calls.append((name, *args))
+            depth[0] += 1
+            try:
+                return build(*args)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for module, name in _SHARED:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+@pytest.mark.parametrize("n_max, selected, jobs, workers", [
+    (1, ["C1"], 64, []), (1, ["C1", "C2", "C6"], 64, [3]), (2, ["C1"], 2, [2]),
+    (2, ["C1", "C6"], 1, [])])
+def test_run_all_starts_no_more_workers_than_cells(monkeypatch, n_max, selected, jobs,
+                                                   workers):
+    # one cell or one job takes the serial path, which builds no pool; on
+    # either path, the cells of one size share what they build
+    monkeypatch.setattr(_StubPool, "made", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _StubPool)
+    calls = _count_builds(monkeypatch)
+    reports = run_all(n_max, claims=selected, jobs=jobs)
+    assert _StubPool.made == workers
+    assert len(calls) == len(set(calls))
+    assert [rep.record() for rep in reports] == \
+        [run_claim(c, n).record() for c in selected for n in range(1, n_max + 1)]
+
+
+def test_run_all_builds_each_shared_object_once_per_size(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    assert {rep.status for rep in run_all(3, jobs=1)} == {"pass"}
+    assert len(calls) == len(set(calls))
+    for n in (1, 2, 3):
+        built = {call[:-1] for call in calls if call[-1] == n}
+        assert built == {("gen_ch",), ("gen_qiao",), ("gen_cbs_family",),
+                         ("gen_mcbs_family",), ("gen_miura_relations",),
+                         ("build_map", "R_CH"), ("build_map", "R_Q"),
+                         ("build_map", "C_MR"), ("back_mix_map",),
+                         ("standard_systems", "CH")} | (
+                             {("miura_mix_map",)} if n > 1 else set())
+    # cells run n-major: every object of size n is built before any of n+1
+    sizes = [call[-1] for call in calls]
+    assert sizes == sorted(sizes)
+
+
+def _mutate_ch_law(monkeypatch):
+    monkeypatch.setitem(transform._LAWS, "CH", ("P", "Omega", Fraction(1, 3), "X"))
+
+
+def _mutate_msys_m0(monkeypatch):
+    # at n = 3, the size the mutant is built over
+    generate = hier.gen_cbs_family
+    extra = hier.r_space(3).expr("X", T0=1)
+
+    def perturbed(n):
+        fam = generate(n)
+        if n != 3:
+            return fam
+        m0 = replace(fam.msys[0], residual=fam.msys[0].residual + extra)
+        return replace(fam, msys=(m0,) + fam.msys[1:])
+
+    monkeypatch.setattr(hier, "gen_cbs_family", perturbed)
+
+
+@pytest.mark.parametrize("claim, mutate", [("C1", _mutate_ch_law), ("C3", _mutate_msys_m0)],
+                         ids=["law-behind-build_map", "gen_cbs_family"])
+def test_a_run_after_a_mutation_sees_the_mutant(monkeypatch, claim, mutate):
+    # nothing built in one run_all survives into the next
+    assert run_all(3, claims=[claim])[-1].status == "pass"
+    mutate(monkeypatch)
+    assert run_all(3, claims=[claim])[-1].status == "fail"
+
+
+def test_a_run_that_raises_closes_its_scope(monkeypatch):
+    def broken(r, n):
+        raise RuntimeError("not an engine error")
+
+    monkeypatch.setitem(claims._CLAIM_FNS, "C2", broken)
+    with pytest.raises(RuntimeError):
+        run_all(2, claims=["C1", "C2"])
+    assert claims._shared.get() is None
+    calls = _count_builds(monkeypatch)
+    run_claim("C1", 2)
+    run_claim("C1", 2)
+    assert calls.count(("gen_ch", 2)) == 2
+
+
 R2 = hier.r_space(2)
 X0 = R2.expr("X", T0=1)
 
@@ -121,7 +255,7 @@ def _runner():
 
 def test_a_nonzero_reduction_fails_with_no_note():
     r = _runner()
-    r.zero_check("nonzero", X0 + 1, R2)
+    r.zero_check("nonzero", X0 + 1)
     assert r.checks == [CheckResult("nonzero", "fail", "")]
     assert r.terms == 2
 
@@ -135,13 +269,13 @@ def test_only_a_coherent_system_refutes():
     full = standard_systems("BCBS", 3)
     assert not full.coherent
     r = claims._Runner("C3", 3, 0)
-    r.zero_check("full", expr, r3, system=full)
+    r.zero_check("full", expr, system=full)
     assert r.checks == [CheckResult("full", "error", "not decided: non-zero normal "
                                     "form modulo a system not shown coherent")]
     assert r.terms == 175
     one_rule = RewriteSystem([full.rules[0]], full.ranking)
     assert one_rule.coherent
-    r.zero_check("one rule", expr, r3, system=one_rule)
+    r.zero_check("one rule", expr, system=one_rule)
     assert r.checks[1] == CheckResult("one rule", "fail", "")
     assert claims._rep(r, 0.0).status == "error"
 
@@ -149,7 +283,7 @@ def test_only_a_coherent_system_refutes():
 def test_a_numeric_residual_above_the_tolerance_fails(monkeypatch):
     monkeypatch.setattr(numoracle, "confirm_zero", lambda *args, **kwargs: 1e-3)
     r = _runner()
-    r.zero_check("zero", RatExpr.const(0), R2)
+    r.zero_check("zero", RatExpr.const(0))
     assert r.checks == [CheckResult("zero", "fail", "numeric residual 1.00e-03 above 1e-09")]
     rep = run_claim("C8", 2)
     assert rep.status == "fail"
@@ -160,7 +294,7 @@ def test_a_numeric_residual_above_the_tolerance_fails(monkeypatch):
 def test_a_residual_at_the_tolerance_passes(monkeypatch):
     monkeypatch.setattr(numoracle, "confirm_zero", lambda *args, **kwargs: 1e-9)
     r = _runner()
-    r.zero_check("zero", RatExpr.const(0), R2)
+    r.zero_check("zero", RatExpr.const(0))
     assert r.checks == [CheckResult("zero", "pass", "numeric<=1.0e-09")]
 
 

@@ -54,6 +54,14 @@ def test_verify_report_bytes_are_pinned(tmp_path):
     assert hashlib.md5(report.read_bytes()).hexdigest() == "922e541a1b1bc90655be9cab56a935ea"
 
 
+def test_verify_report_bytes_are_pinned_on_two_workers(tmp_path):
+    # each pool worker shares the objects of one size among its own cells
+    report = tmp_path / "report.json"
+    assert main(["verify", "--claim", "all", "--n-max", "4", "--jobs", "2",
+                 "--report", str(report)]) == 0
+    assert hashlib.md5(report.read_bytes()).hexdigest() == "922e541a1b1bc90655be9cab56a935ea"
+
+
 @pytest.mark.parametrize("seed", ["0", "3"])
 def test_verify_n_max_8_report_is_pinned_at_two_seeds(tmp_path, seed):
     # the seed does not reach these bytes: both seeds give the same report

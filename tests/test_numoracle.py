@@ -133,7 +133,7 @@ def test_numeric_proportionality_detects_perturbed_cofactor():
 def test_confirm_zero_on_transported_conservative_equation():
     m = build_map("R_CH", 3)
     img = transport(m, gen_ch(3)[0].residual)
-    assert confirm_zero(img, r_space(3), seed=0, points=100) == 0.0
+    assert confirm_zero(img, seed=0, points=100) == 0.0
 
 
 def test_relative_residual_is_exact_mod_the_prime():
@@ -154,7 +154,7 @@ _PRIME_DEN = RatExpr(R2.expr("X", T1=1).num, R2.expr("X", T0=1).num.scale(PRIME)
 
 
 @pytest.mark.parametrize("check, e", [
-    (lambda e: confirm_zero(e, R2, seed=0), _PRIME_DEN),
+    (lambda e: confirm_zero(e, seed=0), _PRIME_DEN),
     (lambda e: numeric_proportionality(e, e, Cofactor(1, ())), _PRIME_DEN),
     (lambda e: fd_check(e, "T0", TestFunction(R2, seed=0)), parse("1/X_{T0,T1,T2}", R2)),
 ], ids=["confirm_zero", "numeric_proportionality", "fd_check"])
@@ -176,8 +176,8 @@ class _ZeroChecks:
     def __init__(self):
         self.calls = []
 
-    def zero_check(self, label, expr, space, system=None):
-        self.calls.append((expr, space, system))
+    def zero_check(self, label, expr, system=None):
+        self.calls.append((expr, system))
 
     def add(self, label, ok, note=""):
         pass
@@ -195,11 +195,11 @@ def _zero_checks(claim, n):
 def test_confirm_zero_is_bit_identical_to_the_reference(claim, n, on_shell):
     # C3/C5 run on-shell for BCBS and C8 for CH; off-shell, a C5 expression
     # does not vanish
-    for k, (expr, space, system) in enumerate(_zero_checks(claim, n)):
+    for k, (expr, system) in enumerate(_zero_checks(claim, n)):
         seed = 1000 * n + k
         system = system if on_shell else None
-        got = confirm_zero(expr, space, seed, points=20, system=system)
-        assert got == reference_confirm_zero(expr, space, seed, points=20, system=system)
+        got = confirm_zero(expr, seed, points=20, system=system)
+        assert got == reference_confirm_zero(expr, seed, points=20, system=system)
         assert got == (0.0 if on_shell else 1.0)
 
 
@@ -208,15 +208,15 @@ def test_residuals_do_not_depend_on_the_order_of_a_polynomials_terms(claim, n, o
     # the same expressions with their numerators' terms stored reversed and
     # shuffled give the same floats
     rng = random.Random(11)
-    for k, (expr, space, system) in enumerate(_zero_checks(claim, n)):
+    for k, (expr, system) in enumerate(_zero_checks(claim, n)):
         seed = 1000 * n + k
         system = system if on_shell else None
-        want = confirm_zero(expr, space, seed, points=20, system=system)
+        want = confirm_zero(expr, seed, points=20, system=system)
         items = list(expr.num.terms.items())
         for order in (items[::-1], rng.sample(items, len(items))):
             permuted = RatExpr(DiffPoly(dict(order)), expr.den)
             assert permuted == expr
-            assert confirm_zero(permuted, space, seed, points=20, system=system) == want
+            assert confirm_zero(permuted, seed, points=20, system=system) == want
 
 
 def test_consistent_point_is_bit_identical_to_the_reference():
@@ -312,8 +312,8 @@ def test_every_numeric_check_of_a_cell_is_bit_identical_to_the_reference(monkeyp
     runner = claims._Runner(claim, 3, 0)
     getattr(claims, "_" + claim.lower())(runner, 3)
     assert zero or proportional
-    for (expr, space, seed), kwargs, got in zero:
-        assert got == reference_confirm_zero(expr, space, seed, system=kwargs["system"]) == 0.0
+    for (expr, seed), kwargs, got in zero:
+        assert got == reference_confirm_zero(expr, seed, system=kwargs["system"]) == 0.0
     for (lhs, rhs, cof), kwargs, got in proportional:
         assert got is reference_numeric_proportionality(lhs, rhs, cof, seed=kwargs["seed"])
         assert got is True
@@ -324,9 +324,9 @@ def test_every_numeric_check_of_a_cell_is_bit_identical_to_the_reference(monkeyp
 @pytest.mark.parametrize("claim", ["C3", "C5", "C7", "C9"])
 def test_zero_checks_of_a_cell_share_one_walk(monkeypatch, claim):
     runner, calls = _run_cell(monkeypatch, claim, 4, "confirm_zero")
-    for (expr, space, seed), kwargs, got in calls:
+    for (expr, seed), kwargs, got in calls:
         assert seed == runner.seed
-        assert got == reference_confirm_zero(expr, space, seed, system=kwargs["system"])
+        assert got == reference_confirm_zero(expr, seed, system=kwargs["system"])
 
 
 def test_proportionality_checks_of_a_cell_share_one_walk(monkeypatch):
@@ -396,7 +396,7 @@ def test_a_led_jets_rejections_inside_a_batch_are_made_up_by_the_next_batch(monk
     den = _vanishing_at(seed * 7919 + 13, (0, 2))
     lead, system = _rule_with_denominator(den)
     runs = _outcomes(monkeypatch, numoracle._Plan, "run")
-    assert confirm_zero(lead * den - 1, R2, seed, points=5, system=system) == 0.0
+    assert confirm_zero(lead * den - 1, seed, points=5, system=system) == 0.0
     assert len(runs) == 7 and _rejected(runs) == [0, 2]
 
 
@@ -421,11 +421,11 @@ def test_a_led_jets_rejection_rejects_only_the_checks_that_read_it(monkeypatch):
     seed = 7
     lead, den, system = _rule_rejecting_the_first_point(seed)
     outcomes = _outcomes(monkeypatch)
-    assert confirm_zero(lead - 1 / den, R2, seed, system=system) == 0.0
+    assert confirm_zero(lead - 1 / den, seed, system=system) == 0.0
     rejected, *accepted = outcomes
     assert isinstance(rejected, SmallDenominatorError) and accepted == [0.0, 0.0]
     outcomes.clear()
-    assert confirm_zero(R2.expr("X", T0=1), R2, seed, system=system) == 1.0
+    assert confirm_zero(R2.expr("X", T0=1), seed, system=system) == 1.0
     assert outcomes == [1.0]
 
 
@@ -436,7 +436,7 @@ def test_a_led_jets_rejection_leaves_through_relative_residual(monkeypatch):
     seed = 7
     lead, den, system = _rule_rejecting_the_first_point(seed)
     outcomes = _outcomes(monkeypatch)
-    got = confirm_zero(lead - 1 / den, R2, seed, points=1, system=system)
+    got = confirm_zero(lead - 1 / den, seed, points=1, system=system)
     rejected, accepted = outcomes
     assert accepted == got == 0.0
     assert isinstance(rejected, SmallDenominatorError)
@@ -457,37 +457,36 @@ def test_a_jet_free_in_one_system_is_computed_from_the_rule_of_a_system_that_lea
     b = RewriteSystem([RewriteRule(R2.jet("X", T0=2), squared, "synthetic")], JetRanking(R2))
     e = lead * den - 1
     outcomes = _outcomes(monkeypatch)
-    assert confirm_zero(e, R2, seed, system=a) == 0.0
+    assert confirm_zero(e, seed, system=a) == 0.0
     assert isinstance(outcomes[0], SmallDenominatorError) and outcomes[1:] == [0.0, 0.0]
     outcomes.clear()
-    assert confirm_zero(e, R2, seed, system=b) == 1.0
+    assert confirm_zero(e, seed, system=b) == 1.0
     assert outcomes == [1.0]
 
 
 def _sub_tolerance_mutants(n):
     """Each zero-check input of run_all(n) that is not zero before reduction,
     with one of its first three numerator terms scaled by 1 + 1e-10, kept
-    where it stays non-zero after reduction; as (mutant, space, seed,
-    system)."""
+    where it stays non-zero after reduction; as (mutant, seed, system)."""
     calls = []
     zero_check = claims._Runner.zero_check
 
-    def recorded(self, label, expr, space, system=None):
-        calls.append((expr, space, self.seed, system))
-        zero_check(self, label, expr, space, system)
+    def recorded(self, label, expr, system=None):
+        calls.append((expr, self.seed, system))
+        zero_check(self, label, expr, system)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(claims._Runner, "zero_check", recorded)
         claims.run_all(n)
     mutants = []
-    for expr, space, seed, system in calls:
+    for expr, seed, system in calls:
         items = list(expr.num.terms.items())
         for mono, coeff in items[:3]:
             terms = dict(items)
             terms[mono] = coeff * (1 + Fraction(1, 10**10))
             mutant = RatExpr(DiffPoly(terms), expr.den)
             if not (mutant if system is None else system.reduce(mutant)).is_zero():
-                mutants.append((mutant, space, seed, system))
+                mutants.append((mutant, seed, system))
     return mutants
 
 
@@ -496,5 +495,5 @@ def test_confirm_zero_flags_every_sub_tolerance_mutant():
     # mod PRIME
     mutants = _sub_tolerance_mutants(4)
     assert len(mutants) == 108
-    for mutant, space, seed, system in mutants:
-        assert confirm_zero(mutant, space, seed, system=system) > ZERO_TOL
+    for mutant, seed, system in mutants:
+        assert confirm_zero(mutant, seed, system=system) > ZERO_TOL
