@@ -291,7 +291,7 @@ def _c7(r, n):
     if n == 1:
         r.add("vacuous", True, "field relations range over i=1..n-1")
         return
-    m = _built(transform.miura_mix_map, n)
+    m = _built(transform.miura_mix_map, _built(transform.build_map, "C_MR", n), n)
     system = _built(reduction.standard_systems, "CH", n)
     msp = hier.mr_space(n)
     rels = {e.label: e for e in _built(hier.gen_miura_relations, n)}

@@ -483,12 +483,7 @@ class DiffPoly:
         return Fraction(self.terms[_MONO_UNIT])
 
     def jets(self):
-        seen = set()
-        for mono in self.terms:
-            for j in mono.jets():
-                if j not in seen:
-                    seen.add(j)
-                    yield j
+        return _jets((self,))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: t[0].key, reverse=True)
@@ -651,6 +646,23 @@ _POLY_ZERO = DiffPoly({})
 _POLY_ONE = DiffPoly({_MONO_UNIT: 1})
 
 
+def _jets(polys):
+    """The jets of polys, in order of first occurrence."""
+    seen = {}
+    for poly in polys:
+        for mono in poly.terms:
+            for jet, _ in mono.factors:
+                seen[jet] = None
+    return seen.keys()
+
+
+def _quotient_space(terms, space):
+    """The space a scanning DiffPoly(terms) finds, when each monomial of
+    terms divides one of a polynomial over space: None if the only
+    monomial is the unit."""
+    return None if len(terms) == 1 and _MONO_UNIT in terms else space
+
+
 def _exact(c):
     """c as an int when it is integral, else as a Fraction."""
     if type(c) is int:
@@ -710,8 +722,9 @@ def _primitive(polys, mono, negate):
     if not mono.factors:
         return k, scale, [DiffPoly({m: next(coeffs) // k for m in p.terms}, p._space)
                           for p in polys]
-    return k, scale, [DiffPoly({m.div(mono): next(coeffs) // k for m in p.terms})
-                      for p in polys]
+    quotients = [(p, {m.div(mono): next(coeffs) // k for m in p.terms}) for p in polys]
+    return k, scale, [DiffPoly(terms, _quotient_space(terms, p._space))
+                      for p, terms in quotients]
 
 
 # ---------------------------------------------------------------------------
@@ -764,12 +777,7 @@ class RatExpr:
         return self.num.is_zero()
 
     def jets(self):
-        seen = set()
-        for part in (self.num, self.den):
-            for j in part.jets():
-                if j not in seen:
-                    seen.add(j)
-                    yield j
+        return _jets((self.num, self.den))
 
     def term_count(self):
         return len(self.num.terms) + len(self.den.terms)
@@ -1049,7 +1057,8 @@ def _by_exponent(poly, jet):
     for mono, coeff in poly.terms.items():
         k, rest = mono.without(jet)
         by_exp.setdefault(k, {})[rest] = coeff
-    return [(k, DiffPoly(bucket)) for k, bucket in sorted(by_exp.items())]
+    return [(k, DiffPoly(bucket, _quotient_space(bucket, poly._space)))
+            for k, bucket in sorted(by_exp.items())]
 
 
 def _substituted(poly, jet, replacement):

@@ -175,13 +175,19 @@ def orient(eq, lead):
 
 
 class RewriteSystem:
-    """Oriented rules and their ranking, with on-demand prolongation."""
+    """Oriented rules and their ranking, with on-demand prolongation.
+
+    A system memoises, per jet, its lookup (the highest matching rule, the
+    jet's ranking key and every matching rule in rule order), which match,
+    match_all and both picks of reduce read."""
 
     def __init__(self, rules, ranking):
         self.rules = tuple(rules)
         self.ranking = ranking
         # one memo per rule lead: {jet: rhs prolonged to jet}
         self._prolonged = {}
+        # {jet: (highest matching rule or None, ranking key, matching rules)}
+        self._lookups = {}
         for rule in self.rules:
             for jet in rule.rhs.jets():
                 if ranking.key(jet) >= ranking.key(rule.lead):
@@ -197,17 +203,24 @@ class RewriteSystem:
         fields = [rule.lead.field for rule in self.rules]
         return len(set(fields)) == len(fields)
 
+    def _look_up(self, jet):
+        """jet's memoised (highest matching rule, ranking key, matching rules)."""
+        found = self._lookups.get(jet)
+        if found is None:
+            rules = [rule for rule in self.rules if jet.dominates(rule.lead)]
+            best = None
+            for rule in rules:
+                if best is None or self.ranking.higher(rule.lead, best.lead):
+                    best = rule
+            found = self._lookups[jet] = (best, self.ranking.key(jet), rules)
+        return found
+
     def match_all(self, jet):
-        return [rule for rule in self.rules if jet.dominates(rule.lead)]
+        return list(self._look_up(jet)[2])
 
     def match(self, jet):
         """The rule whose (prolongable) lead matches jet; highest lead wins."""
-        best = None
-        for rule in self.rules:
-            if jet.dominates(rule.lead):
-                if best is None or self.ranking.higher(rule.lead, best.lead):
-                    best = rule
-        return best
+        return self._look_up(jet)[0]
 
     def prolonged_rhs(self, rule, jet):
         """rhs of the rule prolonged so that its lead equals jet."""
@@ -231,13 +244,19 @@ class RewriteSystem:
         rule applied to it are chosen at random instead.  More rewrites than
         the step cap of diffalg.limits raise StepCapError.
         """
+        lookups, look_up = self._lookups, self._look_up
         if rng is None:
             def pick(e):
-                matches = [(j, r) for j in e.jets() if (r := self.match(j)) is not None]
-                return max(matches, key=lambda m: self.ranking.key(m[0]), default=None)
+                # the first of the largest keys, as max() keeps
+                best = best_key = None
+                for j in e.jets():
+                    rule, key, _ = lookups.get(j) or look_up(j)
+                    if rule is not None and (best is None or key > best_key):
+                        best, best_key = (j, rule), key
+                return best
         else:
             def pick(e):
-                matches = [(j, r) for j in e.jets() for r in self.match_all(j)]
+                matches = [(j, r) for j in e.jets() for r in (lookups.get(j) or look_up(j))[2]]
                 return matches[rng.randrange(len(matches))] if matches else None
         return rewrite(RatExpr._coerce(e), pick, self.prolonged_rhs, "reduction")
 

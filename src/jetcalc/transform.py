@@ -22,7 +22,7 @@ and y_{Ti} = phi^(i) for a field y of the reciprocal plane:
 
 plus two internal composites used by the claim runner: back_mix_map (R -> MR,
 both partial inverses sharing the reciprocal-plane derivations) and
-miura_mix_map (MR -> CH, C_MR extended identically on the CH fields).
+miura_mix_map (MR -> CH, a built C_MR extended identically on the CH fields).
 
 Bare v^(i) has no image under R_Q and C_MR: v enters the reciprocal picture
 only through v_x = (1/u) w_x, so v^(i)_x is the designated minimal jet and
@@ -238,15 +238,19 @@ def back_mix_map(n):
     return DerivationMap("B_MIX", rs, ms, {**ch_fields, **q_fields}, op_images)
 
 
-def miura_mix_map(n):
-    """C_MR extended to the mixed space, identical on the CH fields."""
+def miura_mix_map(c_mr, n):
+    """C_MR extended to the mixed space, identical on the CH fields.
+
+    c_mr is build_map("C_MR", n): its field images are keyed again on the
+    mixed space's Qiao jets, and its x and t derivations are kept."""
     ms, chs = hier.mr_space(n), hier.ch_space(n)
-    field_images, op_images = _images("C_MR", n, ms, chs)
+    field_images = {ms.field(jet.field.name, jet.field.index).jet(**jet.multi_index()): image
+                    for jet, image in c_mr.field_images.items()}
     field_images[ms.jet("P")] = chs.expr("P")
     for i in range(1, n + 1):
         field_images[ms.jet("Omega", i)] = chs.expr("Omega", i)
     one = RatExpr.const(1)
-    op_images.update(X=((one, "X"),), T=((one, "T"),))
+    op_images = {**c_mr.op_images, "X": ((one, "X"),), "T": ((one, "T"),)}
     return DerivationMap("C_MR_MIX", ms, chs, field_images, op_images)
 
 

@@ -1,12 +1,15 @@
 """Shared test utilities: constrained samplers for transportable expressions,
 the reference float evaluator, the reference checks modulo PRIME, the
 reference monomial order, the reference exact core, the reference
-common-denominator search and the reference step-by-step rewrite loop."""
+common-denominator search, the reference step-by-step rewrite loop, the
+reference rule picks and the reference mixed Miura map."""
 
 import math
 import random
 from fractions import Fraction
 
+from jetcalc import hierarchies as hier
+from jetcalc import reduction, transform
 from jetcalc.diffalg import (_POLY_ONE, RAT_ZERO, DiffPoly, Monomial, RatExpr,
                              ZeroDivisionExprError, _limits)
 from jetcalc.numoracle import DEN_FLOOR, PRIME, SmallDenominatorError
@@ -501,3 +504,51 @@ def reference_rewrite(e, pick, image, what):
             raise StepCapError(f"{what} exceeded {step_cap} steps", trace[-12:])
         e = reference_substitute_jet(e, jet, image(how, jet))
         trace.append(jet)
+
+
+# -- reference rule picks ---------------------------------------------------------
+# RewriteSystem.reduce's two picks as they were before a system memoised its
+# per-jet lookups: every pick walks every jet of the expression over every
+# rule and ranks the matches afresh.
+
+def reference_reduce(system, e, rng=None):
+    def match(jet):
+        best = None
+        for rule in system.rules:
+            if jet.dominates(rule.lead):
+                if best is None or system.ranking.higher(rule.lead, best.lead):
+                    best = rule
+        return best
+
+    if rng is None:
+        def pick(e):
+            matches = [(j, r) for j in e.jets() if (r := match(j)) is not None]
+            return max(matches, key=lambda m: system.ranking.key(m[0]), default=None)
+    else:
+        def pick(e):
+            matches = [(j, r) for j in e.jets() for r in system.rules if j.dominates(r.lead)]
+            return matches[rng.randrange(len(matches))] if matches else None
+    return reduction.rewrite(RatExpr._coerce(e), pick, system.prolonged_rhs, "reduction")
+
+
+# -- reference mixed Miura map ----------------------------------------------------
+# transform.miura_mix_map's images as they were built before it extended a
+# built C_MR map: R_Q over the mixed space, composed with the Miura map and a
+# B_CH of its own.
+
+def reference_miura_mix_images(n):
+    """(field_images, op_images) of C_MR extended to mr_space(n)."""
+    ms, chs, rs = hier.mr_space(n), hier.ch_space(n), hier.r_space(n)
+    one = RatExpr.const(1)
+    r_q = transform.DerivationMap("R_Q", ms, rs, *transform._images("R_Q", n, ms, rs))
+    c_mr = transform.compose(r_q, transform.compose(transform.miura_map(n),
+                                                    transform.build_map("B_CH", n)))
+    gap = chs.expr("P") - chs.expr("P", X=1)
+    field_images = dict(c_mr.field_images)
+    field_images[ms.jet("P")] = chs.expr("P")
+    for i in range(1, n + 1):
+        field_images[ms.jet("Omega", i)] = chs.expr("Omega", i)
+    op_images = {"x": c_mr.op_images["x"],
+                 "t": ((one, "T"), (chs.expr("P", T=1).div(gap), "X")),
+                 "X": ((one, "X"),), "T": ((one, "T"),)}
+    return field_images, op_images

@@ -148,15 +148,16 @@ _SHARED = [(hier, "gen_ch"), (hier, "gen_qiao"), (hier, "gen_cbs_family"),
 
 
 def _count_builds(monkeypatch):
-    """Wrap every shared builder; the returned list collects (name, *args)
-    for each call not made from inside another builder (standard_systems
-    generates the CH equations, and C_MR builds B_CH)."""
+    """Wrap every shared builder; the returned list collects (name, *args),
+    with a map argument given by its name, for each call not made from
+    inside another builder (standard_systems generates the CH equations,
+    and C_MR builds B_CH)."""
     calls, depth = [], [0]
 
     def counted(name, build):
         def wrapper(*args):
             if not depth[0]:
-                calls.append((name, *args))
+                calls.append((name, *(getattr(a, "name", a) for a in args)))
             depth[0] += 1
             try:
                 return build(*args)
@@ -197,10 +198,23 @@ def test_run_all_builds_each_shared_object_once_per_size(monkeypatch):
                          ("build_map", "R_CH"), ("build_map", "R_Q"),
                          ("build_map", "C_MR"), ("back_mix_map",),
                          ("standard_systems", "CH")} | (
-                             {("miura_mix_map",)} if n > 1 else set())
+                             {("miura_mix_map", "C_MR")} if n > 1 else set())
     # cells run n-major: every object of size n is built before any of n+1
     sizes = [call[-1] for call in calls]
     assert sizes == sorted(sizes)
+
+
+def test_run_all_builds_b_ch_once_per_size(monkeypatch):
+    # C8 and C9 build C_MR, and with it B_CH; C7 extends that C_MR map
+    built, build = [], transform.build_map
+
+    def counted(which, n):
+        built.append((which, n))
+        return build(which, n)
+
+    monkeypatch.setattr(transform, "build_map", counted)
+    run_all(3, jobs=1)
+    assert [n for which, n in built if which == "B_CH"] == [1, 2, 3]
 
 
 def _mutate_ch_law(monkeypatch):

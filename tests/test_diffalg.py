@@ -616,3 +616,28 @@ def test_a_polynomial_image_reduce_trial_divides_once_by_its_held_denominator(mo
     # trial-divided after the first, the held loop settles only a zero
     assert step_by_step == [1, 0, 2, 0, 0, 0, 0]
     assert held == [0, 0, 1, 0, 0, 0, 0]
+
+
+def _scanned_space(poly):
+    return DiffPoly(dict(poly.terms)).space()
+
+
+def test_exponent_buckets_and_primitive_parts_have_the_space_a_scan_finds():
+    from jetcalc.diffalg import _by_exponent, _monomial_gcd, _primitive
+    MR = mr_space(2)
+    rng = random.Random(41)
+    jets = [MR.jet("P"), MR.jet("P", X=1), MR.jet("Omega", 1), MR.jet("u"), MR.jet("w", 2, x=1)]
+    polys = [random_poly_from(jets, rng).num for _ in range(30)]
+    polys += [parse("3*P + 2", CH).num, parse("P^2 - 5*P", CH).num]
+    buckets = [part for poly in polys for jet in poly.jets()
+               for _, part in _by_exponent(poly, jet)]
+    pairs = [(parse(a, space).num, parse(b, space).num) for space, a, b in (
+        (MR, "2*P*u", "4*P*u + 6*P^2*u"), (MR, "6*P*u_{x} - 3*P^2", "9*P"),
+        (CH, "4*P^2", "2*P_{X}"), (CH, "P/2 + 1", "3"))]
+    pairs += [(p, q) for p, q in zip(polys[::2], polys[1::2])]
+    parts = [part for pair in pairs
+             for part in _primitive(pair, _monomial_gcd(pair), negate=False)[2]]
+    spaces = [part.space() for part in buckets + parts]
+    assert None in spaces and MR in spaces and CH in spaces
+    for part in buckets + parts:
+        assert part.space() is _scanned_space(part)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from _helpers import (random_poly_from, reference_consistent_point, reference_evaluate,
-                      reference_rewrite, transportable_jets)
+                      reference_reduce, reference_rewrite, transportable_jets)
 from jetcalc import claims, diffalg, reduction
 from jetcalc.diffalg import (DiffAlgError, DiffPoly, TermCapError, is_zero, substitute_jet,
                              total_derivative)
@@ -387,6 +387,67 @@ def test_held_denominator_matches_the_step_by_step_loop_on_c3_and_c5(monkeypatch
             e = substituted(i)
             runs += _both_modes(one_rule, e) + _both_modes(one_rule, e, cap=2)
     for got, want in _outcomes_of_both_loops(monkeypatch, runs):
+        assert got == want
+
+
+# -- the memoised picks against the picks that scan every rule ------------------
+
+def _exact_normalform_inputs(seed):
+    """C_MR images at n=3 of polynomials drawn as perfbench's exact-normalform
+    workload draws them."""
+    m = build_map("C_MR", 3)
+    jets = transportable_jets(m)
+    rng = random.Random(f"exact-normalform/{seed}")
+    return [m.transport(random_poly_from(jets, rng, max_terms=3, max_factors=1, max_exp=1))
+            for _ in range(6)]
+
+
+def _bcbs_overlap_inputs():
+    """R_3 polynomials over jets that dominate one or both of two BCBS leads."""
+    r3 = r_space(3)
+    jets = [r3.jet("X", T0=1, T2=1, T3=1), r3.jet("X", T0=2, T2=1, T3=1),
+            r3.jet("X", T0=1, T2=1), r3.jet("X", T0=1, T3=1), r3.jet("X", T0=1),
+            r3.jet("X", T1=1)]
+    rng = random.Random(31)
+    return [random_poly_from(jets, rng, max_terms=3, max_factors=2, max_exp=1)
+            for _ in range(6)]
+
+
+def _tied_keys_case():
+    """The CH2 rules under a ranking that ties their leads, with inputs that
+    carry the leads themselves: the deterministic pick then keeps the first
+    of the tied jets, as max() does."""
+    ch2 = standard_systems("CH", 2)
+    system = RewriteSystem(ch2.rules, _LeadsOnTop(*(rule.lead for rule in ch2.rules)))
+    texts = ["P_{T} + Omega[1]_{X,X,X}*Omega[2]_{X,X}", "Omega[2]_{X,X}*P + P_{T}*Omega[1]",
+             "Omega[1]_{X,X,X} - P_{T}*P_{X} + Omega[2]_{X,X}^2"]
+    return system, [parse(t, CH2) for t in texts]
+
+
+def _outcomes_of_both_picks(system, e):
+    """[(outcome of system.reduce, outcome of reference_reduce)] in both modes,
+    under the default step cap and caps 1-3."""
+    pairs = []
+    for cap in (diffalg.DEFAULT_STEP_CAP, 1, 2, 3):
+        for seed in (None, 5):
+            def run(reduce, seed=seed, cap=cap):
+                with diffalg.limits(step_cap=cap):
+                    return reduce(None if seed is None else random.Random(seed))
+            pairs.append((_outcome(lambda: run(lambda rng: system.reduce(e, rng=rng))),
+                          _outcome(lambda: run(lambda rng: reference_reduce(system, e, rng)))))
+    return pairs
+
+
+def test_memoised_picks_match_the_picks_that_scan_every_rule():
+    ch3 = standard_systems("CH", 3)
+    cases = [(ch3, _c9_shape_inputs(3)),
+             (ch3, [e for seed in (1, 2) for e in _exact_normalform_inputs(seed)]),
+             (standard_systems("CH", 2), _b_ch_derivative_law_gaps()),
+             (standard_systems("BCBS", 3), _bcbs_overlap_inputs()), _tied_keys_case()]
+    pairs = [pair for system, inputs in cases for e in inputs
+             for pair in _outcomes_of_both_picks(system, e)]
+    assert sum(want[0] == "StepCapError" for _, want in pairs) > 50
+    for got, want in pairs:
         assert got == want
 
 

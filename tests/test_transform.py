@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from _helpers import random_poly_from, transportable_jets
+from _helpers import random_poly_from, reference_miura_mix_images, transportable_jets
 from jetcalc.diffalg import RatExpr, is_zero, substitute_jet
 from jetcalc.exprio import parse, print_text
 from jetcalc.hierarchies import (ch_space, gen_cbs_family, gen_ch, gen_mcbs_family,
-                                 gen_miura_relations, gen_qiao, q_space, r_space)
+                                 gen_miura_relations, gen_qiao, mr_space, q_space, r_space)
 from jetcalc.reduction import (JetRanking, RewriteSystem, bcbs_system, orient,
                                standard_systems)
 from jetcalc.transform import (BelowDesignatedJetError, DerivationMap, TransportError,
@@ -143,7 +143,7 @@ def test_forward_maps_commute_identically():
         assert check_commutation(m, 25, seed=1)
     # the extended composite map commutes identically pairwise on each
     # field's dependency pair; the fused back map is on-shell only, like B_CH
-    assert check_commutation(miura_mix_map(2), 10, seed=1)
+    assert check_commutation(miura_mix_map(build_map("C_MR", 2), 2), 10, seed=1)
     assert not check_commutation(back_mix_map(2), 5, seed=1)
 
 
@@ -210,6 +210,25 @@ def test_c_mr_keeps_the_hand_images_as_a_composite(n):
     for m in (_composite(n), build_map("C_MR", n)):
         assert list(m.field_images.items()) == list(images.items())
         assert m.op_images["x"] == x_op
+
+
+def _in_dict_order(field_images, op_images):
+    """A map's images with their keys and every expression's terms in dict
+    order."""
+    def terms(e):
+        return list(e.num.terms.items()), list(e.den.terms.items())
+
+    return ([(jet, terms(image)) for jet, image in field_images.items()],
+            [(var, [(terms(coeff), tv) for coeff, tv in pairs])
+             for var, pairs in op_images.items()])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_mixed_miura_map_extends_c_mr_with_the_images_it_composed_itself(n):
+    m = miura_mix_map(build_map("C_MR", n), n)
+    assert m.source is mr_space(n) and m.target is ch_space(n)
+    assert _in_dict_order(m.field_images, m.op_images) == \
+        _in_dict_order(*reference_miura_mix_images(n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
