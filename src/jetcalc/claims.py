@@ -10,7 +10,8 @@ numoracle); engine failures are recorded as status "error", never swallowed.
 A confirmation's note prints its residual, or `numeric<=1e-12` when it is at
 or below that floor; a confirmation mod a prime that passes has residual 0.0.
 
-run_all runs its cells n-major, and within one run the cells of a size share
+run_all runs the cells of one size together, n-major when serial and as one
+pool task per size otherwise, and within one run the cells of a size share
 the equations, maps and CH system they build, jet and prolongation memos
 included; a cell's `millis` charges a shared build to the first cell of its
 size that needs it.  A run_claim call outside run_all builds afresh.
@@ -353,17 +354,21 @@ def run_claim(claim, n, seed=0, step_cap=diffalg.DEFAULT_STEP_CAP,
     return _rep(runner, t0)
 
 
-def _cell(args):
-    return run_claim(*args)
+def _size(args):
+    """The reports of the given claims at one size, run in order."""
+    selected, n, *rest = args
+    return [run_claim(c, n, *rest) for c in selected]
 
 
 def run_all(n_max, claims=None, seed=0, jobs=1,
             step_cap=diffalg.DEFAULT_STEP_CAP, term_cap=diffalg.DEFAULT_TERM_CAP):
     """Run each selected claim (all for claims=None) once for n = 1..n_max.
-    Cells run n-major, and the cells of one size share the objects _built
-    gives them; each pool worker keeps its own.  Cells may run in parallel
-    and are merged deterministically by (claim, n).  Each cell carries the
-    caps, because a pool worker does not inherit the caller's diffalg.limits."""
+    The cells of one size run together, in claim order, and share the
+    objects _built gives them.  Serially the sizes run in ascending n; with
+    jobs > 1, each size is one task for a pool of min(jobs, n_max) workers,
+    largest n first, and each worker keeps its own shared objects.  Reports
+    are merged deterministically by (claim, n).  Each task carries the caps,
+    because a pool worker does not inherit the caller's diffalg.limits."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if jobs < 1:
@@ -374,18 +379,17 @@ def run_all(n_max, claims=None, seed=0, jobs=1,
     for c in selected:
         if c not in _CLAIM_FNS:
             raise ValueError(f"unknown claim {c!r}")
-    cells = [(c, n, seed, step_cap, term_cap)
-             for n in range(1, n_max + 1) for c in selected]
-    workers = min(jobs, len(cells))
+    sizes = [(selected, n, seed, step_cap, term_cap) for n in range(1, n_max + 1)]
+    workers = min(jobs, n_max)
     if workers > 1:
         # imported here: serial runs and `import jetcalc.cli` do not pay for it
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=_open_scope) as pool:
-            reports = list(pool.map(_cell, cells))
+            reports = [rep for reps in pool.map(_size, sizes[::-1]) for rep in reps]
     else:
         token = _open_scope()
         try:
-            reports = [_cell(args) for args in cells]
+            reports = [rep for args in sizes for rep in _size(args)]
         finally:
             _shared.reset(token)
     reports.sort(key=lambda rep: (CLAIM_IDS.index(rep.claim), rep.n))

@@ -16,10 +16,15 @@ with multiplication, so the leading and trailing monomials of q*d are those
 of q times those of d, and a divisor that fails the test cannot divide
 exactly.  reduction.rewrite holds the denominator aside for a whole run
 of polynomial substitutions into the numerator alone and then settles the
-quotient with one trial division.  Exact division keeps its pending terms
-in a heap (after Monagan & Pearce, Sparse polynomial division using a
-heap); it gives the same quotient, with the terms in the same order, as
-the plain max-rescanning division.
+quotient with one trial division.  Such a substitution is fraction-free
+(substitute_fraction_free): an image r/c with the constant denominator c
+goes into a polynomial whose highest power of the jet is K as c^K times
+the result, so an int numerator stays on ints, and the loop keeps the
+integer multiplier c^K on the held denominator (the trick of
+pseudo-division, Knuth, TAOCP vol. 2, 4.6.1).  Exact division keeps its
+pending terms in a heap (after Monagan & Pearce, Sparse polynomial division
+using a heap); it gives the same quotient, with the terms in the same
+order, as the plain max-rescanning division.
 
 Spaces, fields and jets are canonical: a space's fields are created once,
 and each field hands out one JetVar per multi-index, so equality of jets and
@@ -1026,14 +1031,13 @@ def substitute_jet(e, jet, replacement):
     """Replace every occurrence of jet in e by the given expression (exactly).
 
     A DiffPoly e takes a polynomial replacement, one whose denominator is
-    constant, and gives a DiffPoly; reduction.rewrite substitutes a held
-    numerator this way.  For a RatExpr e, numerator and denominator are
-    substituted and then divided."""
+    constant, and gives a DiffPoly: substitute_fraction_free's result
+    divided by its multiplier.  For a RatExpr e, numerator and denominator
+    are substituted and then divided."""
     replacement = RatExpr._coerce(replacement)
     if isinstance(e, DiffPoly):
-        if not replacement.den.is_const():
-            raise ValueError("a DiffPoly takes only a replacement with a constant denominator")
-        return _substituted(e, jet, replacement)
+        num, mult = substitute_fraction_free(e, jet, replacement)
+        return num.scale(Fraction(1, mult))
     e = RatExpr._coerce(e)
 
     def sub_poly(poly):
@@ -1061,29 +1065,68 @@ def _by_exponent(poly, jet):
             for k, bucket in sorted(by_exp.items())]
 
 
-def _substituted(poly, jet, replacement):
-    """poly with jet replaced by replacement, whose denominator is constant.
+def substitute_fraction_free(poly, jet, replacement):
+    """(mult * poly[jet := r/c], mult), for a replacement r/c whose
+    denominator c is constant: mult = c^K, where K is the highest exponent
+    of jet in poly, so int coefficients in poly and r give int ones out.
+    A poly free of jet comes back as itself, with mult 1.
 
-    The buckets of _by_exponent are combined in ascending exponent, as
-    substitute_jet's general route builds its numerator, so the result has
-    that numerator's terms in the same order."""
-    out = None
-    for k, part in _by_exponent(poly, jet):
+    One pass over poly's terms puts a term free of jet straight into the
+    result and every other term into a bucket for its exponent, keyed by
+    the rest of its monomial.  Bucket k, times c^(K-k), is multiplied by
+    r^k and added in ascending k, as substitute_jet's general route adds
+    its buckets.  r^k is built by the products RatExpr.pow makes, so the
+    result has the terms of that route's numerator in the same order."""
+    if not replacement.den.is_const():
+        raise ValueError("a DiffPoly takes only a replacement with a constant denominator")
+    out, buckets = {}, {}
+    for mono, coeff in poly.terms.items():
+        k, rest = mono.without(jet)
         if k:
-            power = replacement.pow(k)
-            part = part.mul(power.num).scale(1 / power.den.const_value())
-        out = part if out is None else out.add(part)
-    return _POLY_ZERO if out is None else out
+            buckets.setdefault(k, {})[rest] = coeff
+        else:
+            out[mono] = coeff
+    if not buckets:
+        return poly, 1
+    poly._check_space(replacement.num)
+    c = replacement.den.terms[_MONO_UNIT]
+    top = max(buckets)
+    mult = c ** top
+    if mult != 1:
+        out = {m: mult * q for m, q in out.items()}
+    squares = [replacement.num]   # r, r^2, r^4, ...
+    for k in sorted(buckets):
+        power = None
+        for bit in range(k.bit_length()):
+            if bit == len(squares):
+                squares.append(squares[-1].mul(squares[-1]))
+            if k >> bit & 1:
+                power = squares[bit] if power is None else power.mul(squares[bit])
+        bucket, s = buckets[k], c ** (top - k)
+        if s != 1:
+            bucket = {m: s * q for m, q in bucket.items()}
+        part = DiffPoly(bucket, _quotient_space(bucket, poly._space)).mul(power)
+        for m, q in part.terms.items():
+            t = out.get(m)
+            if t is None:
+                out[m] = q
+            else:
+                t += q
+                if t:
+                    out[m] = t
+                else:
+                    del out[m]
+    return DiffPoly(out, _quotient_space(out, poly._space)), mult
 
 
-def settle(num, den):
-    """RatExpr num/den, normalized after the one trial division of num by
-    den that RatExpr.mul makes."""
+def settle(num, den, mult=1):
+    """RatExpr num/(mult*den), normalized after the one trial division of
+    num by den that RatExpr.mul makes; mult is a nonzero constant."""
     if num.terms and not den.is_const() and _may_divide(num, den):
         q = num.divexact(den)
         if q is not None:
-            return RatExpr.make(q)
-    return RatExpr.make(num, den)
+            return RatExpr.make(q, DiffPoly.const(mult))
+    return RatExpr.make(num, den.scale(mult))
 
 
 def prolong(images, base, jet, derive):

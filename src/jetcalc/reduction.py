@@ -24,12 +24,16 @@ shuffle mode reruns with a randomized pick to surface any order dependence.
 All substitution runs in `rewrite`, which holds the denominator aside: while
 the picked jets stay out of it and their images are polynomials, as the CH
 images are, each step substitutes into the numerator alone, and the quotient
-is normalized, with one trial division, only when it must be.  The
-step-by-step loop it replaced normalized and trial-divided after every step.
-The deterministic strategy makes the same picks and reaches the same normal
-form as that loop.  Unless a factor of the held denominator cancels midway,
-both strategies also see the jets in the same order and give the terms of
-the result in the same order.
+is normalized, with one trial division, only when it must be.  Such a step
+is fraction-free: the CH images carry the constant denominator 2, and rather
+than divide terms by a power of 2, the step multiplies the other terms by it
+and keeps the product of those powers, an integer multiplier, on the held
+denominator, so the held numerator stays on ints.  The step-by-step loop it
+replaced normalized and trial-divided after every step.  The deterministic
+strategy makes the same picks and reaches the same normal form as that loop.
+Unless a factor of the held denominator cancels midway, both strategies also
+see the jets in the same order and give the terms of the result in the same
+order.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from functools import cached_property
 
 from . import hierarchies as hier
 from .diffalg import (DiffAlgError, DiffPoly, JetVar, RatExpr, TermCapError, _by_exponent,
-                      _limits, prolong, settle, substitute_jet)
+                      _limits, prolong, settle, substitute_fraction_free, substitute_jet)
 
 
 class ReductionError(DiffAlgError):
@@ -78,20 +82,24 @@ def rewrite(e, pick, image, what):
     The denominator is held aside while it can be.  As long as each picked
     jet is absent from e.den and its image has a constant denominator, each
     step substitutes into the numerator polynomial alone, and pick sees the
-    unsettled quotient RatExpr(num, e.den).  The quotient is settled
-    (diffalg.settle: one trial division and one RatExpr.make) at the end,
-    before a step with a rational image, when a held step leaves zero, and
-    when pick picks a jet of the held denominator; if that settle cancelled
-    a factor, pick picks again from the settled expression.  A held step
-    that meets the term cap is settled and redone on the whole expression,
-    because the step-by-step loop may have divided the denominator out
-    earlier; otherwise every step is one substitute_jet call."""
+    unsettled quotient RatExpr(num, e.den).  The step is fraction-free
+    (diffalg.substitute_fraction_free): an image r/c puts c^K times the
+    substituted numerator into num, and the int mult collects those powers,
+    so the held quotient is num/(mult*e.den) and num keeps int coefficients.
+    The quotient is settled (diffalg.settle: one trial division of num by
+    e.den and one RatExpr.make over mult*e.den) at the end, before a step
+    with a rational image, when a held step leaves zero, and when pick
+    picks a jet of the held denominator; if that settle cancelled a factor,
+    pick picks again from the settled expression.  A held step that meets
+    the term cap is settled and redone on the whole expression, because the
+    step-by-step loop may have divided the denominator out earlier;
+    otherwise every held step is one substitute_fraction_free call."""
     step_cap = _limits.get()[1]
     trace = []
-    num = den_jets = None   # while held: the substituted numerator over e.den
+    num = den_jets = mult = None   # while held: the quotient is num/(mult*e.den)
 
     def settled():
-        return e if num is e.num else settle(num, e.den)
+        return e if num is e.num else settle(num, e.den, mult)
 
     while True:
         picked = pick(e if num is None else RatExpr(num, e.den))
@@ -109,14 +117,15 @@ def rewrite(e, pick, image, what):
         if num is None and polynomial:
             den_jets = set(e.den.jets())
             if jet not in den_jets:
-                num = e.num
+                num, mult = e.num, 1
         elif num is not None and not polynomial:
             e, num = settled(), None
         if num is None:
             e = substitute_jet(e, jet, rhs)
         else:
             try:
-                num = substitute_jet(num, jet, rhs)
+                num, k = substitute_fraction_free(num, jet, rhs)
+                mult *= k
             except TermCapError:
                 e, num = settled(), None
                 e = substitute_jet(e, jet, rhs)

@@ -57,6 +57,16 @@ def random_poly_from(jets, rng, max_terms=3, max_factors=2, max_exp=2):
     return RatExpr.make(DiffPoly(terms))
 
 
+def exact_normalform_inputs(seed):
+    """C_MR images at n=3 of polynomials drawn as perfbench's exact-normalform
+    workload draws them."""
+    m = transform.build_map("C_MR", 3)
+    jets = transportable_jets(m)
+    rng = random.Random(f"exact-normalform/{seed}")
+    return [m.transport(random_poly_from(jets, rng, max_terms=3, max_factors=1, max_exp=1))
+            for _ in range(6)]
+
+
 
 # -- reference float evaluator -----------------------------------------------
 # The recursive on-shell float evaluator, written apart from the library's, so

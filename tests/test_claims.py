@@ -171,12 +171,13 @@ def _count_builds(monkeypatch):
 
 
 @pytest.mark.parametrize("n_max, selected, jobs, workers", [
-    (1, ["C1"], 64, []), (1, ["C1", "C2", "C6"], 64, [3]), (2, ["C1"], 2, [2]),
-    (2, ["C1", "C6"], 1, [])])
+    (1, ["C1"], 64, []), (1, ["C1", "C2", "C6"], 64, []), (2, ["C1"], 2, [2]),
+    (2, ["C1", "C6"], 1, []), (3, ["C1", "C6"], 64, [3])])
 def test_run_all_starts_no_more_workers_than_cells(monkeypatch, n_max, selected, jobs,
                                                    workers):
-    # one cell or one job takes the serial path, which builds no pool; on
-    # either path, the cells of one size share what they build
+    # a pool task is one size: one size or one job takes the serial path,
+    # which builds no pool; on either path, the cells of one size share what
+    # they build
     monkeypatch.setattr(_StubPool, "made", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _StubPool)
     calls = _count_builds(monkeypatch)

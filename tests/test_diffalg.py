@@ -6,8 +6,9 @@ from functools import cmp_to_key
 
 import pytest
 
-from _helpers import (random_poly_from, reference_add, reference_divexact,
-                      reference_make, reference_mono_cmp, reference_mono_div, reference_mul,
+from _helpers import (exact_normalform_inputs, random_poly_from, reference_add,
+                      reference_divexact, reference_make, reference_mono_cmp,
+                      reference_mono_div, reference_mul,
                       reference_ratexpr_derivative, reference_rewrite,
                       reference_substitute_jet, reference_total_derivative,
                       transportable_jets)
@@ -15,7 +16,8 @@ from jetcalc import diffalg, reduction
 from jetcalc.diffalg import (
     Cofactor, DiffAlgError, DiffPoly, JetVar, Monomial, RatExpr, SpaceMismatchError,
     TermCapError, UnknownVariableError, ZeroDivisionExprError, combine, equivalent,
-    is_zero, prolong, proportional, random_expr, substitute_jet, total_derivative,
+    is_zero, prolong, proportional, random_expr, substitute_fraction_free, substitute_jet,
+    total_derivative,
 )
 from jetcalc.exprio import from_json, parse, print_text, to_json
 from jetcalc.hierarchies import ch_space, gen_qiao, mr_space, q_space, r_space
@@ -588,15 +590,15 @@ def test_a_polynomial_image_reduce_trial_divides_once_by_its_held_denominator(mo
     m, system, exprs = _c9_shape()
     images = [m.transport(e) for e in exprs]
     tested, polynomial = [], []
-    may_divide, substitute = diffalg._may_divide, reduction.substitute_jet
+    may_divide, substitute = diffalg._may_divide, reduction.substitute_fraction_free
 
     def recorded_test(num, den):
         tested.append(den)
         return may_divide(num, den)
 
-    def recorded_substitute(e, jet, rhs):
+    def recorded_substitute(num, jet, rhs):
         polynomial.append(rhs.den.is_const())
-        return substitute(e, jet, rhs)
+        return substitute(num, jet, rhs)
 
     def trials():
         out = []
@@ -607,7 +609,7 @@ def test_a_polynomial_image_reduce_trial_divides_once_by_its_held_denominator(mo
         return out
 
     monkeypatch.setattr(diffalg, "_may_divide", recorded_test)
-    monkeypatch.setattr(reduction, "substitute_jet", recorded_substitute)
+    monkeypatch.setattr(reduction, "substitute_fraction_free", recorded_substitute)
     held = trials()
     assert all(polynomial) and len(polynomial) == 4
     monkeypatch.setattr(reduction, "rewrite", reference_rewrite)
@@ -616,6 +618,71 @@ def test_a_polynomial_image_reduce_trial_divides_once_by_its_held_denominator(mo
     # trial-divided after the first, the held loop settles only a zero
     assert step_by_step == [1, 0, 2, 0, 0, 0, 0]
     assert held == [0, 0, 1, 0, 0, 0, 0]
+
+
+def _fraction_free_cases():
+    """[(poly, jet, image, K)]: seeded int polynomials whose highest exponent
+    of jet is K = 0..3, and polynomial images over the denominators 1, 2, 4."""
+    rng = random.Random(2029)
+    pool = [CH.jet("P"), CH.jet("P", X=1), CH.jet("P", T=1), CH.jet("Omega", 1),
+            CH.jet("Omega", 1, X=2), CH.jet("Omega", 2, X=1)]
+    cases = []
+    for _ in range(30):
+        jet, *others = rng.sample(pool, 4)
+        for top in range(4):
+            poly = DiffPoly.zero()
+            for k in sorted({top, *rng.sample(range(top + 1), rng.randrange(top + 1))}):
+                rest = random_poly_from(others, rng, max_terms=3).num
+                poly = poly.add(rest.mul(DiffPoly.from_jet(jet, k)) if k else rest)
+            r = random_poly_from(pool, rng, max_terms=3).num.add(DiffPoly.const(1))
+            cases.append((poly, jet, RatExpr.make(r, DiffPoly.const(rng.choice([1, 2, 4]))),
+                          top))
+    return cases
+
+
+def test_fraction_free_substitution_is_substitute_jet_times_c_to_the_k():
+    cases = _fraction_free_cases()
+    dens = {image.den.const_value() for _, _, image, _ in cases}
+    assert dens == {1, 2, 4} and {top for *_, top in cases} == {0, 1, 2, 3}
+    for poly, jet, image, top in cases:
+        num, mult = substitute_fraction_free(poly, jet, image)
+        assert mult == image.den.const_value() ** top
+        assert all(type(c) is int for c in num.terms.values())
+        if top == 0:
+            assert num is poly and mult == 1
+        want = substitute_jet(poly, jet, image).scale(mult)
+        assert list(num.terms.items()) == list(want.terms.items())
+        # the general route, which does not go through the helper
+        general = substitute_jet(RatExpr.make(poly), jet, image)
+        assert general.den.is_const()
+        assert (list(num.scale(general.den.const_value()).terms.items())
+                == list(general.num.scale(mult).terms.items()))
+
+
+def test_every_held_numerator_of_an_exact_normalform_reduction_is_an_int_polynomial(
+        monkeypatch):
+    system = standard_systems("CH", 3)
+    inputs = [e for seed in (1, 2, 3) for e in exact_normalform_inputs(seed)]
+
+    def normal_forms():
+        return [(list(nf.num.terms.items()), list(nf.den.terms.items()))
+                for nf in (system.reduce(e, rng=rng)
+                           for e in inputs for rng in (None, random.Random(5)))]
+
+    held = []
+    substitute = reduction.substitute_fraction_free
+
+    def recorded(num, jet, rhs):
+        out = substitute(num, jet, rhs)
+        held.extend((num, out[0]))
+        return out
+
+    monkeypatch.setattr(reduction, "substitute_fraction_free", recorded)
+    got = normal_forms()
+    assert len(held) > 100
+    assert all(type(c) is int for poly in held for c in poly.terms.values())
+    monkeypatch.setattr(reduction, "rewrite", reference_rewrite)
+    assert got == normal_forms()
 
 
 def _scanned_space(poly):

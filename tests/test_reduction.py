@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from _helpers import (random_poly_from, reference_consistent_point, reference_evaluate,
-                      reference_reduce, reference_rewrite, transportable_jets)
+from _helpers import (exact_normalform_inputs, random_poly_from, reference_consistent_point,
+                      reference_evaluate, reference_reduce, reference_rewrite,
+                      transportable_jets)
 from jetcalc import claims, diffalg, reduction
-from jetcalc.diffalg import (DiffAlgError, DiffPoly, TermCapError, is_zero, substitute_jet,
-                             total_derivative)
+from jetcalc.diffalg import (DiffAlgError, DiffPoly, TermCapError, is_zero,
+                             substitute_fraction_free, total_derivative)
 from jetcalc.exprio import parse
 from jetcalc.hierarchies import (ch_space, gen_cbs_family, gen_ch, gen_mcbs_family,
                                  gen_miura_relations, gen_qiao, r_space)
@@ -216,21 +217,22 @@ def test_step_cap_error_names_the_last_twelve_rewrites():
 
 @pytest.mark.parametrize("cap,raises", [(1, True), (2, False)])
 def test_step_cap_bounds_the_substitutions(monkeypatch, cap, raises):
-    # the C_MR image of E_Q1 reduces to zero modulo CH in exactly 2 rewrites;
-    # the cap is checked before a rewrite's prolonged right side is built
+    # the C_MR image of E_Q1 reduces to zero modulo CH in exactly 2 rewrites,
+    # both into the held numerator; the cap is checked before a rewrite's
+    # prolonged right side is built
     img = build_map("C_MR", 2).transport(gen_qiao(2)[1].residual)
     calls, prolonged = [], []
     prolonged_rhs = RewriteSystem.prolonged_rhs
 
-    def counted(e, jet, rhs):
+    def counted(num, jet, rhs):
         calls.append(jet)
-        return substitute_jet(e, jet, rhs)
+        return substitute_fraction_free(num, jet, rhs)
 
     def counted_rhs(self, rule, jet):
         prolonged.append(jet)
         return prolonged_rhs(self, rule, jet)
 
-    monkeypatch.setattr(reduction, "substitute_jet", counted)
+    monkeypatch.setattr(reduction, "substitute_fraction_free", counted)
     monkeypatch.setattr(RewriteSystem, "prolonged_rhs", counted_rhs)
     system = standard_systems("CH", 2)
     with diffalg.limits(step_cap=cap):
@@ -359,13 +361,13 @@ def test_held_denominator_matches_the_step_by_step_loop_on_c9_and_law_gaps(monke
                            (standard_systems("CH", 2), _b_ch_derivative_law_gaps())):
         for e in inputs:
             runs += _both_modes(system, e) + _both_modes(system, e, cap=2)
-    substitute = reduction.substitute_jet
+    substitute = reduction.substitute_fraction_free
 
-    def recorded(e, jet, rhs):
-        held.append(isinstance(e, DiffPoly))
-        return substitute(e, jet, rhs)
+    def recorded(num, jet, rhs):
+        held.append(isinstance(num, DiffPoly))
+        return substitute(num, jet, rhs)
 
-    monkeypatch.setattr(reduction, "substitute_jet", recorded)
+    monkeypatch.setattr(reduction, "substitute_fraction_free", recorded)
     pairs = _outcomes_of_both_loops(monkeypatch, runs)
     assert sum(held) > 100
     assert sum(want[0] == "StepCapError" for _, want in pairs) > 10
@@ -391,16 +393,6 @@ def test_held_denominator_matches_the_step_by_step_loop_on_c3_and_c5(monkeypatch
 
 
 # -- the memoised picks against the picks that scan every rule ------------------
-
-def _exact_normalform_inputs(seed):
-    """C_MR images at n=3 of polynomials drawn as perfbench's exact-normalform
-    workload draws them."""
-    m = build_map("C_MR", 3)
-    jets = transportable_jets(m)
-    rng = random.Random(f"exact-normalform/{seed}")
-    return [m.transport(random_poly_from(jets, rng, max_terms=3, max_factors=1, max_exp=1))
-            for _ in range(6)]
-
 
 def _bcbs_overlap_inputs():
     """R_3 polynomials over jets that dominate one or both of two BCBS leads."""
@@ -441,7 +433,7 @@ def _outcomes_of_both_picks(system, e):
 def test_memoised_picks_match_the_picks_that_scan_every_rule():
     ch3 = standard_systems("CH", 3)
     cases = [(ch3, _c9_shape_inputs(3)),
-             (ch3, [e for seed in (1, 2) for e in _exact_normalform_inputs(seed)]),
+             (ch3, [e for seed in (1, 2) for e in exact_normalform_inputs(seed)]),
              (standard_systems("CH", 2), _b_ch_derivative_law_gaps()),
              (standard_systems("BCBS", 3), _bcbs_overlap_inputs()), _tied_keys_case()]
     pairs = [pair for system, inputs in cases for e in inputs
@@ -512,14 +504,18 @@ def test_a_rule_led_jet_in_the_denominator_is_substituted_as_in_the_step_by_step
     e = parse("(P_{X,T} + Omega[1]_{X,X,X}*P)/(P_{T} + P)", CH2)
     system = standard_systems("CH", 2)
     routes = []
-    substitute = reduction.substitute_jet
+    substitute, held = reduction.substitute_jet, reduction.substitute_fraction_free
 
     def recorded(e, jet, rhs):
-        routes.append("held" if isinstance(e, DiffPoly) else
-                      "denominator" if jet in set(e.den.jets()) else "numerator")
+        routes.append("denominator" if jet in set(e.den.jets()) else "numerator")
         return substitute(e, jet, rhs)
 
+    def recorded_held(num, jet, rhs):
+        routes.append("held")
+        return held(num, jet, rhs)
+
     monkeypatch.setattr(reduction, "substitute_jet", recorded)
+    monkeypatch.setattr(reduction, "substitute_fraction_free", recorded_held)
     runs = [run for cap in (None, 1, 2, 3) for run in _both_modes(system, e, cap)]
     for got, want in _outcomes_of_both_loops(monkeypatch, runs):
         assert got == want
@@ -556,16 +552,16 @@ def test_a_term_cap_the_step_by_step_loop_meets_is_met_after_a_midway_division(m
 
     need = next(cap for cap in range(1, 100) if reference_passes(cap))
     caught = []
-    substitute = reduction.substitute_jet
+    substitute = reduction.substitute_fraction_free
 
-    def recorded(e, jet, rhs):
+    def recorded(num, jet, rhs):
         try:
-            return substitute(e, jet, rhs)
+            return substitute(num, jet, rhs)
         except TermCapError:
             caught.append(jet)
             raise
 
-    monkeypatch.setattr(reduction, "substitute_jet", recorded)
+    monkeypatch.setattr(reduction, "substitute_fraction_free", recorded)
     assert run(need) == _with_reference(monkeypatch, lambda: run(need))
     assert caught
 
