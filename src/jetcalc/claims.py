@@ -24,8 +24,8 @@ but not judged: the source text displays no target form for them.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import diffalg, exprio, hierarchies as hier, numoracle, reduction, transform
@@ -43,22 +43,14 @@ _NOTE_FLOOR = 1e-12
 _shared = ContextVar("shared", default=None)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    label: str
-    status: str  # pass | fail | error
-    note: str = ""
+# status is pass | fail | error
+CheckResult = namedtuple("CheckResult", "label status note", defaults=("",))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    claim: str
-    n: int
-    status: str
-    cofactor: str | None
-    terms: int
-    duration: float
-    checks: tuple[CheckResult, ...] = field(default_factory=tuple)
+class VerificationReport(namedtuple(
+        "VerificationReport", "claim n status cofactor terms duration checks",
+        defaults=((),))):
+    __slots__ = ()
 
     def details(self):
         out = []

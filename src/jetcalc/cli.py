@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import claims, diffalg, exprio, hierarchies as hier, numoracle, reduction
@@ -72,9 +71,8 @@ def _select_claims(selector):
 
 def cmd_verify(args):
     selected = _select_claims(args.claim)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     reports = claims.run_all(
-        args.n_max, claims=selected, seed=args.seed, jobs=jobs,
+        args.n_max, claims=selected, seed=args.seed, jobs=args.jobs,
         step_cap=args.step_cap, term_cap=args.term_cap)
     records = [rep.record(include_millis=args.timings) for rep in reports]
     text = json.dumps(records, indent=2, sort_keys=True) + "\n"
@@ -151,8 +149,9 @@ def build_parser():
     verify.add_argument("--report", default=None,
                         help="path for the JSON report (default: stdout)")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--jobs", type=int, default=None,
-                        help="parallel worker processes (default: cpu count)")
+    verify.add_argument("--jobs", type=int, default=1,
+                        help="parallel worker processes (default 1; a pool pays for "
+                             "its start-up only at large --n-max)")
     verify.add_argument("--term-cap", type=int, default=diffalg.DEFAULT_TERM_CAP,
                         help=f"expression-size guard (default {diffalg.DEFAULT_TERM_CAP})")
     verify.add_argument("--step-cap", type=int, default=diffalg.DEFAULT_STEP_CAP,

@@ -18,20 +18,24 @@ ambiguous.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .diffalg import DiffPoly, Monomial, RatExpr, UnknownVariableError, ZeroDivisionExprError
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    begin: int
-    end: int
+class SourceSpan(namedtuple("SourceSpan", "begin end")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.begin > self.end:
+    def __new__(cls, begin, end):
+        if begin > end:
             raise ValueError("span begin must not exceed end")
+        return super().__new__(cls, begin, end)
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds its copy through _make: check the copy's bounds too
+        return cls(*fields)
 
 
 class ParseError(ValueError):

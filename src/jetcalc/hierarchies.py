@@ -22,7 +22,7 @@ E_Qi = k v^(i) - j v^(i+1) and D_x E_Q{n}n = u_x - k v^(n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,18 +33,19 @@ SYSTEMS = ("CH", "QIAO", "BCBS", "BMCBS", "MSYS", "MCBS_SYS", "CBS",
            "MIURA", "HEIGHTS", "FIELDS", "XREL")
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(namedtuple("Equation", "residual label system i n")):
     """A labelled residual together with its family metadata."""
-    residual: RatExpr
-    label: str
-    system: str
-    i: int | None
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.system not in SYSTEMS:
-            raise ValueError(f"unknown system tag {self.system!r}")
+    def __new__(cls, residual, label, system, i, n):
+        if system not in SYSTEMS:
+            raise ValueError(f"unknown system tag {system!r}")
+        return super().__new__(cls, residual, label, system, i, n)
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds its copy through _make: check the copy's tag too
+        return cls(*fields)
 
 
 def _check_n(n):
@@ -170,11 +171,7 @@ def _compatibility(m0, mi, i):
     return total_derivative(mi, "T0") - total_derivative(m0, f"T{i}")
 
 
-@dataclass(frozen=True)
-class CbsFamily:
-    bcbs: tuple
-    msys: tuple
-    cbs: tuple
+CbsFamily = namedtuple("CbsFamily", "bcbs msys cbs")
 
 
 def gen_cbs_family(n):
@@ -217,10 +214,7 @@ def mi_q_image(n, i):
             + sp.expr("x", T0=2, **{f"T{i}": 1}) / x0)
 
 
-@dataclass(frozen=True)
-class McbsFamily:
-    bmcbs: tuple
-    msys: tuple
+McbsFamily = namedtuple("McbsFamily", "bmcbs msys")
 
 
 def gen_mcbs_family(n):

@@ -38,11 +38,11 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from . import hierarchies as hier
-from .diffalg import (DiffAlgError, DiffPoly, JetVar, RatExpr, TermCapError, _by_exponent,
+from .diffalg import (DiffAlgError, DiffPoly, RatExpr, TermCapError, _by_exponent,
                       _limits, prolong, settle, substitute_fraction_free, substitute_jet)
 
 
@@ -153,11 +153,7 @@ class JetRanking:
         return self.key(a) > self.key(b)
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    lead: JetVar
-    rhs: RatExpr
-    origin: str
+RewriteRule = namedtuple("RewriteRule", "lead rhs origin")
 
 
 def orient(eq, lead):

@@ -2,8 +2,10 @@
 the reference float evaluator, the reference checks modulo PRIME, the
 reference monomial order, the reference exact core, the reference
 common-denominator search, the reference step-by-step rewrite loop, the
-reference rule picks and the reference mixed Miura map."""
+reference rule picks, the reference mixed Miura map and a process pool
+that starts no process."""
 
+import contextvars
 import math
 import random
 from fractions import Fraction
@@ -562,3 +564,24 @@ def reference_miura_mix_images(n):
                  "t": ((one, "T"), (chs.expr("P", T=1).div(gap), "X")),
                  "X": ((one, "X"),), "T": ((one, "T"),)}
     return field_images, op_images
+
+
+class StubPool:
+    """Stands in for ProcessPoolExecutor and starts no process: its one
+    worker is a copied context, where the initializer opens the scope."""
+
+    made = []
+
+    def __init__(self, max_workers, initializer):
+        self.made.append(max_workers)
+        self.worker = contextvars.copy_context()
+        self.worker.run(initializer)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, cells):
+        return [self.worker.run(fn, cell) for cell in cells]

@@ -1,18 +1,17 @@
 """Claim runner behavior: outcomes, vacuous cells, determinism, error paths."""
 
 import concurrent.futures
-import contextvars
-from dataclasses import replace
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from _helpers import reference_t0_first_image
+from _helpers import StubPool, reference_t0_first_image
 from jetcalc import claims, numoracle, reduction, transform
 from jetcalc import hierarchies as hier
 from jetcalc.claims import CLAIM_IDS, CheckResult, _derivative, run_all, run_claim
 from jetcalc.diffalg import RatExpr, prolong
-from jetcalc.reduction import RewriteSystem, standard_systems
+from jetcalc.reduction import RewriteRule, RewriteSystem, standard_systems
 
 
 def test_c1_passes_at_n3():
@@ -119,27 +118,6 @@ def test_step_cap_error_is_reported():
     assert any("StepCapError" in c.note for c in rep.checks if c.status == "error")
 
 
-class _StubPool:
-    """Stands in for ProcessPoolExecutor and starts no process: its one
-    worker is a copied context, where the initializer opens the scope."""
-
-    made = []
-
-    def __init__(self, max_workers, initializer):
-        self.made.append(max_workers)
-        self.worker = contextvars.copy_context()
-        self.worker.run(initializer)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, cells):
-        return [self.worker.run(fn, cell) for cell in cells]
-
-
 # the builders whose objects the cells of one size share within run_all
 _SHARED = [(hier, "gen_ch"), (hier, "gen_qiao"), (hier, "gen_cbs_family"),
            (hier, "gen_mcbs_family"), (hier, "gen_miura_relations"),
@@ -178,11 +156,11 @@ def test_run_all_starts_no_more_workers_than_cells(monkeypatch, n_max, selected,
     # a pool task is one size: one size or one job takes the serial path,
     # which builds no pool; on either path, the cells of one size share what
     # they build
-    monkeypatch.setattr(_StubPool, "made", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _StubPool)
+    monkeypatch.setattr(StubPool, "made", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
     calls = _count_builds(monkeypatch)
     reports = run_all(n_max, claims=selected, jobs=jobs)
-    assert _StubPool.made == workers
+    assert StubPool.made == workers
     assert len(calls) == len(set(calls))
     assert [rep.record() for rep in reports] == \
         [run_claim(c, n).record() for c in selected for n in range(1, n_max + 1)]
@@ -231,8 +209,8 @@ def _mutate_msys_m0(monkeypatch):
         fam = generate(n)
         if n != 3:
             return fam
-        m0 = replace(fam.msys[0], residual=fam.msys[0].residual + extra)
-        return replace(fam, msys=(m0,) + fam.msys[1:])
+        m0 = fam.msys[0]._replace(residual=fam.msys[0].residual + extra)
+        return fam._replace(msys=(m0,) + fam.msys[1:])
 
     monkeypatch.setattr(hier, "gen_cbs_family", perturbed)
 
@@ -434,7 +412,7 @@ def _perturb_miura_relation(monkeypatch, label, extra):
     generate = hier.gen_miura_relations
 
     def perturbed(n):
-        return [replace(eq, residual=eq.residual + extra) if eq.label == label else eq
+        return [eq._replace(residual=eq.residual + extra) if eq.label == label else eq
                 for eq in generate(n)]
 
     monkeypatch.setattr(hier, "gen_miura_relations", perturbed)
@@ -465,8 +443,8 @@ def test_perturbing_msys_m0_flips_c3(monkeypatch):
 
     def perturbed(n):
         fam = generate(n)
-        m0 = replace(fam.msys[0], residual=fam.msys[0].residual + extra)
-        return replace(fam, msys=(m0,) + fam.msys[1:])
+        m0 = fam.msys[0]._replace(residual=fam.msys[0].residual + extra)
+        return fam._replace(msys=(m0,) + fam.msys[1:])
 
     monkeypatch.setattr(hier, "gen_cbs_family", perturbed)
     rep = run_claim("C3", 3)
@@ -586,3 +564,30 @@ def test_dropping_the_log_term_of_the_miura_map_fails_c9(monkeypatch):
 
 def test_claim_ids_complete():
     assert CLAIM_IDS == ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9")
+
+
+def test_the_record_types_are_immutable_values_that_survive_the_pool():
+    # the records are namedtuples: equal fields make equal, equally hashed
+    # values, and a pool worker's report pickles back unchanged
+    assert CheckResult("zero", "pass") == CheckResult("zero", "pass", "")
+    assert hash(CheckResult("zero", "pass")) == hash(CheckResult("zero", "pass", ""))
+    assert CheckResult("zero", "pass") != CheckResult("zero", "fail")
+    sp = hier.ch_space(2)
+    rule = RewriteRule(sp.jet("P", T=1), sp.expr("P", X=1) * sp.expr("P"), "synthetic")
+    again = RewriteRule(sp.jet("P", T=1), sp.expr("P") * sp.expr("P", X=1), "synthetic")
+    assert rule == again and hash(rule) == hash(again)
+    assert rule != rule._replace(origin="other")
+    rep = run_claim("C2", 2)
+    assert rep.checks
+    for record, name in ((rule, "rhs"), (rep.checks[0], "note"), (rep, "status")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    copy = pickle.loads(pickle.dumps(rep))
+    assert copy == rep and type(copy) is type(rep)
+    assert copy.record(include_millis=True) == rep.record(include_millis=True)
+    eq = hier.gen_ch(2)[0]
+    with pytest.raises(ValueError, match="unknown system tag"):
+        hier.Equation(eq.residual, eq.label, "NOPE", eq.i, eq.n)
+    with pytest.raises(ValueError, match="unknown system tag"):
+        eq._replace(system="NOPE")
+    assert eq._replace(label="E") == hier.Equation(eq.residual, "E", eq.system, eq.i, eq.n)

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, report determinism."""
 
 import ast
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from _helpers import random_poly_from, transportable_jets
+from _helpers import StubPool, random_poly_from, transportable_jets
 from jetcalc.claims import run_claim
 from jetcalc.cli import main
 from jetcalc.exprio import print_text
@@ -51,6 +52,17 @@ def test_verify_report_bytes_are_pinned(tmp_path):
     report = tmp_path / "report.json"
     assert main(["verify", "--claim", "all", "--n-max", "4", "--jobs", "1",
                  "--report", str(report)]) == 0
+    assert hashlib.md5(report.read_bytes()).hexdigest() == "922e541a1b1bc90655be9cab56a935ea"
+
+
+def test_default_verify_starts_no_process_pool(monkeypatch, tmp_path):
+    # --jobs defaults to 1: at this n-max a pool costs more to start than it
+    # saves, and the report bytes are those of --jobs 1
+    monkeypatch.setattr(StubPool, "made", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+    report = tmp_path / "report.json"
+    assert main(["verify", "--claim", "all", "--n-max", "4", "--report", str(report)]) == 0
+    assert StubPool.made == []
     assert hashlib.md5(report.read_bytes()).hexdigest() == "922e541a1b1bc90655be9cab56a935ea"
 
 
@@ -228,6 +240,18 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_cli_import_adds_no_dataclasses_inspect_or_process_pool():
+    # the three cost every jetcalc process time at start and no code path of
+    # the import needs them; site may load modules first, so count additions
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    probe = ("import sys; before = set(sys.modules); import jetcalc.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'concurrent.futures.process'}"
+             " & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_the_runtime_imports_only_the_standard_library():

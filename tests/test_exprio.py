@@ -84,6 +84,8 @@ def test_unary_minus_and_parens():
 def test_span_ordering_enforced():
     with pytest.raises(ValueError):
         SourceSpan(5, 2)
+    with pytest.raises(ValueError):
+        SourceSpan(1, 3)._replace(end=0)
 
 
 SPACES = (ch_space(2), q_space(2), r_space(3), mr_space(2))

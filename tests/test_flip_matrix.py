@@ -2,7 +2,6 @@
 of fourteen hand mutants of the maps, hierarchies and relations, and every
 mutant fails at least one check."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -34,7 +33,7 @@ def _added(generator, label, extra):
     generate = getattr(hier, generator)
 
     def perturbed(n):
-        return [replace(eq, residual=eq.residual + extra(n)) if eq.label == label(n) else eq
+        return [eq._replace(residual=eq.residual + extra(n)) if eq.label == label(n) else eq
                 for eq in generate(n)]
 
     return hier, generator, perturbed
@@ -48,8 +47,8 @@ def _msys_m0_plus_x_t0():
         if not fam.msys:
             return fam
         m0 = fam.msys[0]
-        m0 = replace(m0, residual=m0.residual + hier.r_space(n).expr("X", T0=1))
-        return replace(fam, msys=(m0,) + fam.msys[1:])
+        m0 = m0._replace(residual=m0.residual + hier.r_space(n).expr("X", T0=1))
+        return fam._replace(msys=(m0,) + fam.msys[1:])
 
     return hier, "gen_cbs_family", perturbed
 
