@@ -14,15 +14,13 @@ from .diffalg import (
     TermCapError,
     VarSpace,
     ZeroDivisionExprError,
-    combine,
-    equivalent,
     is_zero,
     limits,
     proportional,
     substitute_jet,
     total_derivative,
 )
-from .exprio import ParseError, SourceSpan, from_json, parse, print_expr, to_json
+from .exprio import ParseError, SourceSpan, parse, print_expr, to_json
 from .hierarchies import (
     Equation,
     ch_space,
@@ -42,7 +40,6 @@ from .transform import (
     UndefinedDerivationError,
     build_map,
     check_commutation,
-    transport,
 )
 from .reduction import (
     JetRanking,
@@ -51,10 +48,9 @@ from .reduction import (
     RewriteSystem,
     StepCapError,
     orient,
-    reduce,
     standard_systems,
 )
-from .numoracle import TestFunction, fd_check, numeric_proportionality
+from .numoracle import TestFunction, numeric_proportionality
 from .claims import CLAIM_IDS, VerificationReport, run_all, run_claim
 
 __version__ = "0.1.0"

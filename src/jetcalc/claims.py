@@ -7,8 +7,9 @@ boundaries and serialize deterministically.  Symbolic zero results are
 additionally confirmed at two seeded points modulo a prime, and every
 proportionality cofactor passes a spot check at two such points (see
 numoracle); engine failures are recorded as status "error", never swallowed.
-A confirmation's note prints its residual, or `numeric<=1e-12` when it is at
-or below that floor; a confirmation mod a prime that passes has residual 0.0.
+A confirmation mod a prime has residual 0.0 or 1.0; a failing one's note
+prints the residual, and a passing one's note reads `numeric<=1e-12`, as
+reports did under the float oracle.
 
 run_all runs the cells of one size together, n-major when serial and as one
 pool task per size otherwise, and within one run the cells of a size share
@@ -33,10 +34,6 @@ from .diffalg import DiffAlgError, RatExpr, proportional, substitute_jet, total_
 from .numoracle import ZERO_TOL
 
 CLAIM_IDS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9")
-
-# a worst residual at or below this prints as the floor: below it the digits
-# are rounding noise that depends on libm and on float operation order
-_NOTE_FLOOR = 1e-12
 
 # while run_all runs: {n: {(builder, args): object}} for the one size n whose
 # cells are running; None outside it, where every cell builds afresh
@@ -106,8 +103,7 @@ class _Runner:
         if worst > ZERO_TOL:
             self.add(label, False, f"numeric residual {worst:.2e} above {ZERO_TOL:.0e}")
             return
-        shown = f"{_NOTE_FLOOR:g}" if worst <= _NOTE_FLOOR else f"{worst:.1e}"
-        self.add(label, True, f"numeric<={shown}")
+        self.add(label, True, "numeric<=1e-12")
 
     def proportional_check(self, label, lhs, rhs):
         cof = proportional(lhs, rhs)

@@ -1,7 +1,9 @@
 """Command-line interface: generate systems, verify claims, reduce, evaluate.
 
 Exit codes: 0 success / all claims pass, 1 verification failure, 2 usage
-error, 3 engine error (term or step cap exceeded, transport failure).
+error (a bad option or expression, a division by zero in an expression, an
+unwritable report path), 3 engine error (term or step cap exceeded,
+transport failure).
 Report files are deterministic for fixed flags and seed; wall-clock millis
 are written only with --timings (the summary table always shows them).
 """
@@ -188,7 +190,7 @@ def main(argv=None):
     except DiffAlgError as exc:
         print(f"engine error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ENGINE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -57,10 +57,12 @@ _limits = ContextVar("limits", default=(DEFAULT_TERM_CAP, DEFAULT_STEP_CAP))
 def limits(term_cap=DEFAULT_TERM_CAP, step_cap=DEFAULT_STEP_CAP):
     """Scope both engine guards to a block: term_cap bounds the stored terms
     of a polynomial (TermCapError), step_cap the substitutions of one
-    reduction.rewrite loop (StepCapError)."""
+    reduction.rewrite loop (StepCapError).  Each cap is an int of at least 1."""
+    if type(term_cap) is not int or type(step_cap) is not int:
+        raise ValueError("term and step caps must be ints")
     if term_cap < 1 or step_cap < 1:
         raise ValueError("term and step caps must be positive")
-    token = _limits.set((int(term_cap), int(step_cap)))
+    token = _limits.set((term_cap, step_cap))
     try:
         yield
     finally:
@@ -925,38 +927,12 @@ RAT_ONE = RatExpr(_POLY_ONE, _POLY_ONE)
 # spec operations
 
 
-def combine(kind, a, b):
-    """Field arithmetic entry point: kind in {add, sub, mul, div, pow}."""
-    a = RatExpr._coerce(a)
-    if kind == "pow":
-        if not isinstance(b, int):
-            raise TypeError("pow exponent must be an integer")
-        return a.pow(b)
-    b = RatExpr._coerce(b)
-    if kind == "add":
-        return a.add(b)
-    if kind == "sub":
-        return a.sub(b)
-    if kind == "mul":
-        return a.mul(b)
-    if kind == "div":
-        return a.div(b)
-    raise ValueError(f"unknown combine kind {kind!r}")
-
-
 def total_derivative(e, var):
     return RatExpr._coerce(e).total_derivative(var)
 
 
 def is_zero(e):
     return RatExpr._coerce(e).is_zero()
-
-
-def equivalent(a, b):
-    """Cross-multiplied equality: num(a)*den(b) - num(b)*den(a) == 0."""
-    a = RatExpr._coerce(a)
-    b = RatExpr._coerce(b)
-    return a.num.mul(b.den).sub(b.num.mul(a.den)).is_zero()
 
 
 class Cofactor:
@@ -1028,16 +1004,9 @@ def proportional(a, b):
 
 
 def substitute_jet(e, jet, replacement):
-    """Replace every occurrence of jet in e by the given expression (exactly).
-
-    A DiffPoly e takes a polynomial replacement, one whose denominator is
-    constant, and gives a DiffPoly: substitute_fraction_free's result
-    divided by its multiplier.  For a RatExpr e, numerator and denominator
-    are substituted and then divided."""
+    """Replace every occurrence of jet in e by the given expression (exactly):
+    numerator and denominator are substituted and then divided."""
     replacement = RatExpr._coerce(replacement)
-    if isinstance(e, DiffPoly):
-        num, mult = substitute_fraction_free(e, jet, replacement)
-        return num.scale(Fraction(1, mult))
     e = RatExpr._coerce(e)
 
     def sub_poly(poly):

@@ -1,4 +1,5 @@
-"""Parse and print jet expressions: plain text, LaTeX, and JSON trees.
+"""Parse jet expressions from plain text; print them as text, LaTeX or JSON
+trees.
 
 Grammar:
     expr     := term (("+"|"-") term)*
@@ -12,7 +13,8 @@ Derivative subscripts are explicit variable lists; commas between variable
 names are optional (multi-character names like T0 are matched greedily against
 the space's declared variables).  The parser is always scoped to one VarSpace,
 so a letter that is a field in one space and a variable in another is never
-ambiguous.
+ambiguous.  A division by a factor that is zero, or a zero base raised to a
+negative power, is a ParseError at the span of that factor.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 
-from .diffalg import DiffPoly, Monomial, RatExpr, UnknownVariableError, ZeroDivisionExprError
+from .diffalg import RatExpr
 
 
 class SourceSpan(namedtuple("SourceSpan", "begin end")):
@@ -118,23 +120,37 @@ class _Parser:
             e = e.add(rhs) if op == "+" else e.sub(rhs)
         return e
 
+    def since(self, tok):
+        """The span from tok to the last token read."""
+        return SourceSpan(tok[2], self.tokens[self.pos - 1][3])
+
     def term(self):
         e = self.factor()
         while self.peek()[0] in ("*", "/"):
             op = self.next()[0]
+            first = self.peek()
             rhs = self.factor()
-            e = e.mul(rhs) if op == "*" else e.div(rhs)
+            if op == "*":
+                e = e.mul(rhs)
+            elif rhs.is_zero():
+                raise ParseError("division by zero", self.since(first))
+            else:
+                e = e.div(rhs)
         return e
 
     def factor(self):
+        first = self.peek()
         e = self.base()
         if self.peek()[0] == "^":
+            span = self.since(first)
             self.next()
             sign = 1
             if self.peek()[0] == "-":
                 self.next()
                 sign = -1
             tok = self.expect("num")
+            if sign < 0 and e.is_zero():
+                raise ParseError("zero raised to a negative power", span)
             e = e.pow(sign * int(tok[1]))
         return e
 
@@ -346,51 +362,6 @@ def to_json(e):
         "den": _poly_tree(e.den),
     }
     return json.dumps(tree, separators=(",", ":"))
-
-
-def from_json(text, space):
-    tree = json.loads(text)
-    if not isinstance(tree, dict) or tree.get("format") != "jetexpr-v1":
-        raise ValueError("unrecognized expression serialization")
-    missing = [key for key in ("space", "num", "den") if key not in tree]
-    if missing:
-        raise ValueError(f"serialized expression lacks {', '.join(missing)}")
-    if tree["space"] is not None and tree["space"] != space.name:
-        raise ValueError(
-            f"serialized for space {tree['space']!r}, not {space.name!r}")
-
-    def whole(k, least):
-        return type(k) is int and k >= least
-
-    def poly(items):
-        terms = {}
-        for coeff_s, factors in items:
-            coeff = Fraction(coeff_s)
-            if not coeff:
-                raise ValueError("serialized term has a zero coefficient")
-            pairs = []
-            for name, index, orders, exp in factors:
-                if not (whole(exp, 1) and all(whole(k, 0) for _, k in orders)):
-                    raise ValueError("serialized orders and exponents must be whole numbers")
-                try:
-                    jet = space.field(name, index).jet(**{v: k for v, k in orders})
-                except KeyError as exc:
-                    raise ValueError(exc.args[0]) from None
-                except UnknownVariableError as exc:
-                    raise ValueError(str(exc)) from None
-                pairs.append((jet, exp))
-            mono = Monomial.from_pairs(pairs)
-            if mono in terms:
-                raise ValueError("serialized polynomial repeats a monomial")
-            terms[mono] = coeff
-        return DiffPoly(terms)
-
-    try:
-        return RatExpr.make(poly(tree["num"]), poly(tree["den"]))
-    except ZeroDivisionExprError:
-        raise ValueError("serialized denominator is zero") from None
-    except (TypeError, ZeroDivisionError) as exc:  # a malformed tree
-        raise ValueError(f"malformed serialized expression: {exc}") from None
 
 
 def print_expr(e, fmt="text"):

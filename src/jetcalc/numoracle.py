@@ -16,13 +16,13 @@ Zippel 1979), so a check that vanishes at k accepted points is wrong with
 probability at most about (d/PRIME)**k, however small the error is in
 floats.  A cofactor check asks a*den(cof)*den(b) == cof*b*den(a).
 
-What stays float: sample_value (`jetcalc eval` prints a real value), fd_check
-(finite differences) and consistent_point (real on-shell jets) have no
-meaning mod a prime.  They evaluate directly, through eval_expr, over the
-jets of a TestFunction, a closed-form analytic function whose jets come from
-the derivative recurrence: a term is its coefficient times its factors,
-multiplied left to right, and a polynomial the math.fsum of its terms, so no
-float depends on the order in which it stores them.  A denominator at or
+What stays float: sample_value (`jetcalc eval` prints a real value) and
+consistent_point (real on-shell jets) have no meaning mod a prime.  They
+evaluate directly, through eval_expr, over the jets of a TestFunction, a
+closed-form analytic function whose jets come from the derivative
+recurrence: a term is its coefficient times its factors, multiplied left to
+right, and a polynomial the math.fsum of its terms, so no float depends on
+the order in which it stores them.  A denominator at or
 below DEN_FLOOR relative to its terms rejects the point.
 """
 
@@ -38,7 +38,6 @@ from math import fsum
 from .diffalg import DiffAlgError, RatExpr
 
 ZERO_TOL = 1e-9
-FD_TOL = 1e-6
 DEN_FLOOR = 1e-12
 PRIME = 2**61 - 1
 
@@ -193,29 +192,6 @@ def _accepted(draw, evaluate, wanted, attempts):
         if got == wanted:
             return
     raise NumericError("could not find enough well-conditioned sample points")
-
-
-def fd_check(e, var, tf, sample=0):
-    """Relative error of the symbolic total derivative against Richardson-
-    extrapolated central differences (steps 1e-3 and 5e-4) along var."""
-    e = RatExpr._coerce(e)
-    de = e.total_derivative(var)
-    h = 1e-3
-
-    def error(coords):
-        sym = eval_expr(de, partial(tf.jet_value, coords=coords))
-
-        def at(offset):
-            shifted = {**coords, var: coords[var] + offset}
-            return eval_expr(e, partial(tf.jet_value, coords=shifted))
-
-        d_h = (at(h) - at(-h)) / (2 * h)
-        d_h2 = (at(h / 2) - at(-h / 2)) / h
-        fd = (4 * d_h2 - d_h) / 3
-        return abs(sym - fd) / max(1.0, abs(sym), abs(fd))
-
-    rng = random.Random(tf.seed * 92821 + sample)
-    return next(_accepted(partial(tf.sample_coords, rng), error, 1, 1000))
 
 
 def sample_value(e, space, seed):

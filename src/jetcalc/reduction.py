@@ -266,10 +266,6 @@ class RewriteSystem:
         return rewrite(RatExpr._coerce(e), pick, self.prolonged_rhs, "reduction")
 
 
-def reduce(sys, e, rng=None):
-    return sys.reduce(e, rng=rng)
-
-
 def ch_system(n):
     """Rules P_T -> ..., Omega^(i)_XXX -> ..., Omega^(n)_XX -> ... ."""
     eqs = hier.gen_ch(n)

@@ -142,10 +142,6 @@ class DerivationMap:
         return f"DerivationMap({self.name}: {self.source.name} -> {self.target.name})"
 
 
-def transport(m, e):
-    return m.transport(e)
-
-
 def compose(a, b):
     """b after a: a's field images and derivation coefficients transported
     through b, and each target direction of a replaced by b's derivation.

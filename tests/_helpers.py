@@ -2,10 +2,12 @@
 the reference float evaluator, the reference checks modulo PRIME, the
 reference monomial order, the reference exact core, the reference
 common-denominator search, the reference step-by-step rewrite loop, the
-reference rule picks, the reference mixed Miura map and a process pool
-that starts no process."""
+reference rule picks, the reference mixed Miura map, a process pool
+that starts no process, a reader for to_json documents and a sympy check
+of total derivatives."""
 
 import contextvars
+import json
 import math
 import random
 from fractions import Fraction
@@ -585,3 +587,56 @@ class StubPool:
 
     def map(self, fn, cells):
         return [self.worker.run(fn, cell) for cell in cells]
+
+
+def read_json(text, space):
+    """The expression of a to_json document over space, read back without
+    checking it: the round-trip oracle for to_json."""
+    tree = json.loads(text)
+
+    def poly(items):
+        return DiffPoly({
+            Monomial.from_pairs([(space.field(name, index).jet(**dict(orders)), exp)
+                                 for name, index, orders, exp in factors]): Fraction(coeff)
+            for coeff, factors in items})
+
+    return RatExpr.make(poly(tree["num"]), poly(tree["den"]))
+
+
+def sympy_derivative_gap(e, var, claimed):
+    """cn*d^2 - cd*(D(n)*d - n*D(d)) for e = n/d and claimed = cn/cd, in a
+    sympy polynomial ring over QQ: zero iff claimed is D_var e.
+
+    The ring has one generator per jet, named by its field and orders, and
+    D = D_var is the chain rule through the ring's partial derivatives: D f
+    is the sum over the jets j of e of (df/dj) times the jet one order
+    higher than j in var (none if j's field does not depend on var).
+    Nothing here calls the engine's derivatives or its arithmetic."""
+    import sympy as sp
+
+    def name(jet, step=0):
+        orders = list(jet.orders)
+        if step:
+            orders[jet.field.deps.index(var)] += step
+        return jet.field.label(), tuple(orders)
+
+    raised = {name(j): name(j, 1) for j in e.jets() if var in j.field.deps}
+    names = sorted({*map(name, e.jets()), *map(name, claimed.jets()), *raised.values()})
+    ring, *gens = sp.ring([sp.Symbol(f"{label}{list(orders)}") for label, orders in names],
+                          sp.QQ)
+    gen = dict(zip(names, gens))
+
+    def poly(p):
+        out = ring.zero
+        for mono, coeff in p.terms.items():
+            term = ring(sp.QQ(coeff.numerator, coeff.denominator))
+            for jet, k in mono.factors:
+                term *= gen[name(jet)] ** k
+            out += term
+        return out
+
+    def derivative(f):
+        return sum((f.diff(gen[j]) * gen[up] for j, up in raised.items()), ring.zero)
+
+    n, d = poly(e.num), poly(e.den)
+    return poly(claimed.num) * d ** 2 - poly(claimed.den) * (derivative(n) * d - n * derivative(d))

@@ -285,10 +285,11 @@ def test_a_numeric_residual_above_the_tolerance_fails(monkeypatch):
 
 
 def test_a_residual_at_the_tolerance_passes(monkeypatch):
+    # confirm_zero returns only 0.0 or 1.0, so every pass carries one note
     monkeypatch.setattr(numoracle, "confirm_zero", lambda *args, **kwargs: 1e-9)
     r = _runner()
     r.zero_check("zero", RatExpr.const(0))
-    assert r.checks == [CheckResult("zero", "pass", "numeric<=1.0e-09")]
+    assert r.checks == [CheckResult("zero", "pass", "numeric<=1e-12")]
 
 
 def test_inputs_that_are_not_proportional_fail():
@@ -591,3 +592,33 @@ def test_the_record_types_are_immutable_values_that_survive_the_pool():
     with pytest.raises(ValueError, match="unknown system tag"):
         eq._replace(system="NOPE")
     assert eq._replace(label="E") == hier.Equation(eq.residual, "E", eq.system, eq.i, eq.n)
+
+
+def test_what_the_report_prints_and_counts_has_a_monomial_denominator(monkeypatch):
+    # With a monomial denominator RatExpr.make's form is unique (content 1,
+    # no monomial common to both sides, positive leading coefficient), so a
+    # change that keeps these values keeps the report bytes.  The report
+    # prints the C2/C4 closing images and counts the terms of each
+    # proportional check's left side; a passing zero check counts none.
+    printed, counted = [], {}
+    print_text, check = claims.exprio.print_text, claims._Runner.proportional_check
+
+    def printing(e):
+        printed.append(e)
+        return print_text(e)
+
+    def checking(self, label, lhs, rhs):
+        cof = check(self, label, lhs, rhs)
+        if cof is not None:
+            counted.setdefault((self.claim, self.n), []).append(lhs)
+        return cof
+
+    monkeypatch.setattr(claims.exprio, "print_text", printing)
+    monkeypatch.setattr(claims._Runner, "proportional_check", checking)
+    reports = run_all(4)
+    assert all(rep.status == "pass" for rep in reports)
+    assert len(printed) == 8 and counted
+    for e in printed + [lhs for lhss in counted.values() for lhs in lhss]:
+        assert len(e.den.terms) == 1, e
+    for rep in reports:
+        assert rep.terms == sum(len(lhs.num.terms) for lhs in counted.get((rep.claim, rep.n), ()))

@@ -74,6 +74,41 @@ def test_verify_report_bytes_are_pinned_on_two_workers(tmp_path):
     assert hashlib.md5(report.read_bytes()).hexdigest() == "922e541a1b1bc90655be9cab56a935ea"
 
 
+def _other_cpythons():
+    """bin/python3 of each CPython >= 3.10 under $PYENV_ROOT/versions other
+    than the running one, called by path: pyenv's version shims need not
+    resolve."""
+    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    found = []
+    for path in sorted(root.glob("*/bin/python3")):
+        parts = path.parent.parent.name.split(".")
+        if len(parts) == 3 and all(part.isdigit() for part in parts):
+            version = tuple(map(int, parts))
+            if version >= (3, 10) and version != sys.version_info[:3]:
+                found.append(path)
+    return found
+
+
+def test_verify_report_bytes_are_pinned_under_every_other_cpython(tmp_path):
+    interpreters = _other_cpythons()
+    if not interpreters:
+        pytest.skip("no other CPython >= 3.10 under $PYENV_ROOT/versions")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    procs = []
+    for python in interpreters:
+        report = tmp_path / f"{python.parent.parent.name}.json"
+        procs.append((python, report, subprocess.Popen(
+            [str(python), "-m", "jetcalc.cli", "verify", "--claim", "all", "--n-max", "4",
+             "--report", str(report)], env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE)))
+    for python, report, proc in procs:
+        _, err = proc.communicate()
+        assert proc.returncode == 0, (str(python), err)
+        assert (hashlib.md5(report.read_bytes()).hexdigest()
+                == "922e541a1b1bc90655be9cab56a935ea"), str(python)
+
+
 @pytest.mark.parametrize("seed", ["0", "3"])
 def test_verify_n_max_8_report_is_pinned_at_two_seeds(tmp_path, seed):
     # the seed does not reach these bytes: both seeds give the same report
@@ -148,6 +183,13 @@ def test_verify_engine_error_exit_code(tmp_path):
     assert any(r["status"] == "error" for r in records)
 
 
+def test_verify_unwritable_report_is_a_usage_error(tmp_path, capsys):
+    # exit 1 would read as a failed claim
+    path = tmp_path / "missing" / "r.json"
+    assert main(["verify", "--n-max", "1", "--report", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+
+
 def test_verify_term_cap_does_not_leak(tmp_path):
     path = tmp_path / "c.json"
     main(["verify", "--claim", "C9", "--n-max", "1", "--jobs", "1",
@@ -213,6 +255,17 @@ def test_reduce_parse_error(capsys):
 def test_eval_parse_error(capsys):
     assert main(["eval", "--space", "q", "--n", "1", "--expr", "u + "]) == 2
     assert capsys.readouterr().err == "error: expected an expression, found '' at 4..4\n"
+
+
+@pytest.mark.parametrize("args, err", [
+    (["reduce", "--system", "ch", "--n", "1", "--expr", "1/0"], "division by zero at 2..3"),
+    (["eval", "--space", "ch", "--n", "1", "--expr", "0*P/(P-P)"], "division by zero at 4..9"),
+    (["reduce", "--system", "ch", "--n", "1", "--expr", "(P-P)^-1"],
+     "zero raised to a negative power at 0..5"),
+], ids=["reduce-1/0", "eval-0*P/(P-P)", "reduce-(P-P)^-1"])
+def test_a_literal_division_by_zero_is_a_usage_error(capsys, args, err):
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
 
 
 def test_eval_is_deterministic(capsys):

@@ -16,7 +16,7 @@ from jetcalc.diffalg import proportional
 from jetcalc.hierarchies import (ch_space, gen_cbs_family, gen_ch,
                                  gen_mcbs_family, gen_qiao, r_space)
 from jetcalc.reduction import standard_systems
-from jetcalc.transform import build_map, transport
+from jetcalc.transform import build_map
 
 
 def r_symbols(n):
@@ -122,7 +122,7 @@ def test_transported_p_t_against_sympy_chain_rule():
     X = funcs["X"]
     X0 = sp.diff(X, T[0])
     independent = sp.diff(1 / X0, T[1]) - sp.diff(X, T[1]) / X0 * sp.diff(1 / X0, T[0])
-    engine = transport(build_map("R_CH", n), ch_space(n).expr("P", T=1))
+    engine = build_map("R_CH", n).transport(ch_space(n).expr("P", T=1))
     assert sp.simplify(to_sympy(engine, funcs, syms) - independent) == 0
 
 
@@ -159,7 +159,7 @@ def test_c2_cofactor_via_sympy_ratio(n):
         ratio = sp.simplify(sp.together(e) / sp.together(target))
         assert sp.simplify(ratio - 2 / X0 ** 2) == 0
         engine_cof = proportional(
-            transport(build_map("R_CH", n), gen_ch(n)[i].residual),
+            build_map("R_CH", n).transport(gen_ch(n)[i].residual),
             gen_cbs_family(n).bcbs[i - 1].residual)
         assert engine_cof is not None and engine_cof.text() == "2*X_{T0}^-2"
 
@@ -291,7 +291,7 @@ def test_c9_headline_fully_independent_at_n1():
         assert _ch_reduce_sympy(sp.together(resid), P, W, Xv, Tv, 1) == 0
 
     # cross-check: the engine's transported E_Q0 agrees with the sympy image
-    engine = transport(build_map("C_MR", 1), gen_qiao(1)[0].residual)
+    engine = build_map("C_MR", 1).transport(gen_qiao(1)[0].residual)
     assert sp.simplify(to_sympy(engine, funcs, syms) - q0) == 0
 
 

@@ -14,7 +14,7 @@ from jetcalc.reduction import (JetRanking, RewriteSystem, bcbs_system, orient,
 from jetcalc.transform import (BelowDesignatedJetError, DerivationMap, TransportError,
                                UndefinedDerivationError, back_mix_map,
                                build_map, check_commutation, compose, miura_map,
-                               miura_mix_map, transport)
+                               miura_mix_map)
 
 
 def test_r_ch_field_images():
@@ -26,7 +26,7 @@ def test_r_ch_field_images():
 
 def test_transported_p_t_matches_hand_expansion():
     m = build_map("R_CH", 2)
-    got = transport(m, ch_space(2).expr("P", T=1))
+    got = m.transport(ch_space(2).expr("P", T=1))
     expected = parse("-X_{T0,T1}/X_{T0}^2 + X_{T1}*X_{T0,T0}/X_{T0}^3", r_space(2))
     assert is_zero(got - expected)
 
@@ -34,25 +34,25 @@ def test_transported_p_t_matches_hand_expansion():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_conservative_equation_identically_satisfied(n):
     m = build_map("R_CH", n)
-    assert transport(m, gen_ch(n)[0].residual).is_zero()
+    assert m.transport(gen_ch(n)[0].residual).is_zero()
 
 
 def test_bare_v_rejected_below_designated_jet():
     m = build_map("R_Q", 2)
     with pytest.raises(BelowDesignatedJetError):
-        transport(m, q_space(2).expr("v", 1))
+        m.transport(q_space(2).expr("v", 1))
 
 
 def test_bare_x_field_rejected_under_back_maps():
     m = build_map("B_CH", 2)
     with pytest.raises(BelowDesignatedJetError):
-        transport(m, r_space(2).expr("X"))
+        m.transport(r_space(2).expr("X"))
 
 
 def test_undefined_direction_under_back_maps():
     m = build_map("B_CH", 2)
     with pytest.raises(UndefinedDerivationError):
-        transport(m, r_space(2).expr("X", T2=2))
+        m.transport(r_space(2).expr("X", T2=2))
 
 
 def test_unknown_selector():
@@ -115,11 +115,11 @@ def test_transport_homomorphism_laws(name):
     for _ in range(200):
         f = random_poly_from(jets, rng, **weight)
         g = random_poly_from(jets, rng, **weight)
-        tf_, tg = transport(m, f), transport(m, g)
-        assert is_zero(transport(m, f + g) - tf_ - tg)
-        assert is_zero(transport(m, f * g) - tf_ * tg)
+        tf_, tg = m.transport(f), m.transport(g)
+        assert is_zero(m.transport(f + g) - tf_ - tg)
+        assert is_zero(m.transport(f * g) - tf_ * tg)
         var = rng.choice(sorted(m.op_images))
-        gap = transport(m, f.total_derivative(var)) - m.derive(tf_, var)
+        gap = m.transport(f.total_derivative(var)) - m.derive(tf_, var)
         if modulus is not None:
             gap = modulus.reduce(gap)
         assert is_zero(gap)
@@ -134,7 +134,7 @@ def test_round_trip_through_x_derivatives_only():
     x_jets = [f.jet(X=k) for f in chs.fields for k in range(0, 3)]
     for _ in range(100):
         e = random_poly_from(x_jets, rng)
-        assert is_zero(transport(back, transport(fwd, e)) - e)
+        assert is_zero(back.transport(fwd.transport(e)) - e)
 
 
 def test_forward_maps_commute_identically():
@@ -174,14 +174,14 @@ def test_corrupted_map_detected():
 def test_transport_rejects_wrong_space():
     m = build_map("R_CH", 2)
     with pytest.raises(TransportError):
-        transport(m, r_space(2).expr("X", T0=1))
+        m.transport(r_space(2).expr("X", T0=1))
 
 
 def test_memoization_is_consistent():
     m = build_map("R_CH", 2)
     e = ch_space(2).expr("P", X=2, T=1)
-    first = transport(m, e)
-    second = transport(m, e)
+    first = m.transport(e)
+    second = m.transport(e)
     assert first == second
     assert print_text(first) == print_text(second)
 
