@@ -11,11 +11,14 @@ A confirmation mod a prime has residual 0.0 or 1.0; a failing one's note
 prints the residual, and a passing one's note reads `numeric<=1e-12`, as
 reports did under the float oracle.
 
-run_all runs the cells of one size together, n-major when serial and as one
-pool task per size otherwise, and within one run the cells of a size share
-the equations, maps and CH system they build, jet and prolongation memos
-included; a cell's `millis` charges a shared build to the first cell of its
-size that needs it.  A run_claim call outside run_all builds afresh.
+run_claim and run_all run under the term and step caps of the enclosing
+diffalg.limits block.  run_all runs the cells of one size together, n-major
+when serial and as one pool task per size otherwise; each task carries the
+caps, because a pool worker does not inherit them.  Within a task the cells
+of the size share the equations, maps and CH system they build, jet and
+prolongation memos included; a cell's `millis` charges a shared build to the
+first cell of its size that needs it.  A run_claim call outside run_all
+builds afresh.
 
 The transported images of the closing equations (E_CHn under the reciprocal
 change and D_x(E_Qn) under the Qiao one) are published in the report details
@@ -35,8 +38,8 @@ from .numoracle import ZERO_TOL
 
 CLAIM_IDS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9")
 
-# while run_all runs: {n: {(builder, args): object}} for the one size n whose
-# cells are running; None outside it, where every cell builds afresh
+# while run_all runs one size: {(builder, args): object} for its cells; None
+# outside it, where every cell builds afresh
 _shared = ContextVar("shared", default=None)
 
 
@@ -132,26 +135,14 @@ class _Runner:
 
 
 def _built(fn, *args):
-    """fn(*args), for a builder whose last argument is the size n.  Inside
-    run_all the cells of one size share it, memos included; the objects of
-    the last size are dropped when the first cell of the next builds."""
-    shared = _shared.get()
-    if shared is None:
+    """fn(*args).  Inside run_all the cells of one size share it, memos
+    included."""
+    memo = _shared.get()
+    if memo is None:
         return fn(*args)
-    n = args[-1]
-    if n not in shared:
-        shared.clear()
-        shared[n] = {}
-    memo = shared[n]
     if (fn, args) not in memo:
         memo[fn, args] = fn(*args)
     return memo[fn, args]
-
-
-def _open_scope():
-    """Open the scope _built fills: for one serial run_all, or for the life
-    of a pool worker."""
-    return _shared.set({})
 
 
 def _rep(runner, t0):
@@ -325,38 +316,41 @@ _CLAIM_FNS = {
 }
 
 
-def run_claim(claim, n, seed=0, step_cap=diffalg.DEFAULT_STEP_CAP,
-              term_cap=diffalg.DEFAULT_TERM_CAP):
-    """Run one claim at one hierarchy size under diffalg.limits(term_cap,
-    step_cap); engine errors become status error."""
+def run_claim(claim, n, seed=0):
+    """Run one claim at one hierarchy size under the caps of the enclosing
+    diffalg.limits block; engine errors become status error."""
     if claim not in _CLAIM_FNS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIM_IDS}")
     hier._check_n(n)
     t0 = time.perf_counter()
     runner = _Runner(claim, n, seed)
-    with diffalg.limits(term_cap=term_cap, step_cap=step_cap):
-        try:
-            _CLAIM_FNS[claim](runner, n)
-        except DiffAlgError as exc:
-            runner.checks.append(CheckResult("engine", "error", f"{type(exc).__name__}: {exc}"))
+    try:
+        _CLAIM_FNS[claim](runner, n)
+    except DiffAlgError as exc:
+        runner.checks.append(CheckResult("engine", "error", f"{type(exc).__name__}: {exc}"))
     return _rep(runner, t0)
 
 
 def _size(args):
-    """The reports of the given claims at one size, run in order."""
-    selected, n, *rest = args
-    return [run_claim(c, n, *rest) for c in selected]
+    """The reports of the given claims at one size, run in order under the
+    task's (term cap, step cap), sharing what they build."""
+    selected, n, seed, caps = args
+    token = _shared.set({})
+    try:
+        with diffalg.limits(*caps):
+            return [run_claim(c, n, seed) for c in selected]
+    finally:
+        _shared.reset(token)
 
 
-def run_all(n_max, claims=None, seed=0, jobs=1,
-            step_cap=diffalg.DEFAULT_STEP_CAP, term_cap=diffalg.DEFAULT_TERM_CAP):
-    """Run each selected claim (all for claims=None) once for n = 1..n_max.
-    The cells of one size run together, in claim order, and share the
-    objects _built gives them.  Serially the sizes run in ascending n; with
-    jobs > 1, each size is one task for a pool of min(jobs, n_max) workers,
-    largest n first, and each worker keeps its own shared objects.  Reports
-    are merged deterministically by (claim, n).  Each task carries the caps,
-    because a pool worker does not inherit the caller's diffalg.limits."""
+def run_all(n_max, claims=None, seed=0, jobs=1):
+    """Run each selected claim (all for claims=None) once for n = 1..n_max,
+    under the caps of the enclosing diffalg.limits block.  The cells of one
+    size run together, in claim order, and share the objects _built gives
+    them.  Serially the sizes run in ascending n; with jobs > 1, each size is
+    one task for a pool of min(jobs, n_max) workers, largest n first.
+    Reports are merged deterministically by (claim, n).  Each task carries
+    the caps, because a pool worker does not inherit the caller's block."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if jobs < 1:
@@ -367,18 +361,15 @@ def run_all(n_max, claims=None, seed=0, jobs=1,
     for c in selected:
         if c not in _CLAIM_FNS:
             raise ValueError(f"unknown claim {c!r}")
-    sizes = [(selected, n, seed, step_cap, term_cap) for n in range(1, n_max + 1)]
+    caps = diffalg._limits.get()
+    sizes = [(selected, n, seed, caps) for n in range(1, n_max + 1)]
     workers = min(jobs, n_max)
     if workers > 1:
         # imported here: serial runs and `import jetcalc.cli` do not pay for it
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers, initializer=_open_scope) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = [rep for reps in pool.map(_size, sizes[::-1]) for rep in reps]
     else:
-        token = _open_scope()
-        try:
-            reports = [rep for args in sizes for rep in _size(args)]
-        finally:
-            _shared.reset(token)
+        reports = [rep for args in sizes for rep in _size(args)]
     reports.sort(key=lambda rep: (CLAIM_IDS.index(rep.claim), rep.n))
     return reports

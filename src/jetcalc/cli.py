@@ -3,7 +3,8 @@
 Exit codes: 0 success / all claims pass, 1 verification failure, 2 usage
 error (a bad option or expression, a division by zero in an expression, an
 unwritable report path), 3 engine error (term or step cap exceeded,
-transport failure).
+transport failure, or NumericError when `eval` finds no well-conditioned
+sample point).
 Report files are deterministic for fixed flags and seed; wall-clock millis
 are written only with --timings (the summary table always shows them).
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from . import claims, diffalg, exprio, hierarchies as hier, numoracle, reduction
 from .diffalg import DiffAlgError
@@ -73,35 +75,31 @@ def _select_claims(selector):
 
 def cmd_verify(args):
     selected = _select_claims(args.claim)
-    reports = claims.run_all(
-        args.n_max, claims=selected, seed=args.seed, jobs=args.jobs,
-        step_cap=args.step_cap, term_cap=args.term_cap)
-    records = [rep.record(include_millis=args.timings) for rep in reports]
-    text = json.dumps(records, indent=2, sort_keys=True) + "\n"
+    # the report opens before the run, so an unwritable path costs no run
+    with diffalg.limits(term_cap=args.term_cap, step_cap=args.step_cap), \
+            (open(args.report, "w") if args.report else nullcontext(sys.stdout)) as report:
+        reports = claims.run_all(args.n_max, claims=selected, seed=args.seed, jobs=args.jobs)
+        records = [rep.record(include_millis=args.timings) for rep in reports]
+        text = json.dumps(records, indent=2, sort_keys=True) + "\n"
 
-    out = sys.stdout if args.report else sys.stderr
-    print(f"{'claim':<6} {'n':>2} {'status':<6} {'cofactor':<14} {'terms':>6} {'millis':>9}",
-          file=out)
-    for rep in reports:
-        print(f"{rep.claim:<6} {rep.n:>2} {rep.status:<6} "
-              f"{rep.cofactor or '-':<14} {rep.terms:>6} {rep.duration * 1000:>9.1f}",
+        out = sys.stdout if args.report else sys.stderr
+        print(f"{'claim':<6} {'n':>2} {'status':<6} {'cofactor':<14} {'terms':>6} {'millis':>9}",
               file=out)
-    npass = sum(1 for rep in reports if rep.status == "pass")
-    nfail = sum(1 for rep in reports if rep.status == "fail")
-    nerr = sum(1 for rep in reports if rep.status == "error")
-    total = sum(rep.duration for rep in reports)
-    print(f"{len(reports)} cells: {npass} pass, {nfail} fail, {nerr} error"
-          f" ({total:.1f} s of cell time)", file=out)
-    for rep in reports:
-        if rep.status != "pass":
-            for line in rep.details():
-                print(f"  {rep.claim} n={rep.n}: {line}", file=out)
-
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        for rep in reports:
+            print(f"{rep.claim:<6} {rep.n:>2} {rep.status:<6} "
+                  f"{rep.cofactor or '-':<14} {rep.terms:>6} {rep.duration * 1000:>9.1f}",
+                  file=out)
+        npass = sum(1 for rep in reports if rep.status == "pass")
+        nfail = sum(1 for rep in reports if rep.status == "fail")
+        nerr = sum(1 for rep in reports if rep.status == "error")
+        total = sum(rep.duration for rep in reports)
+        print(f"{len(reports)} cells: {npass} pass, {nfail} fail, {nerr} error"
+              f" ({total:.1f} s of cell time)", file=out)
+        for rep in reports:
+            if rep.status != "pass":
+                for line in rep.details():
+                    print(f"  {rep.claim} n={rep.n}: {line}", file=out)
+        report.write(text)
     if nerr:
         return EXIT_ENGINE
     if nfail:

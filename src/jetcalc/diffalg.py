@@ -54,10 +54,14 @@ _limits = ContextVar("limits", default=(DEFAULT_TERM_CAP, DEFAULT_STEP_CAP))
 
 
 @contextmanager
-def limits(term_cap=DEFAULT_TERM_CAP, step_cap=DEFAULT_STEP_CAP):
+def limits(term_cap=None, step_cap=None):
     """Scope both engine guards to a block: term_cap bounds the stored terms
     of a polynomial (TermCapError), step_cap the substitutions of one
-    reduction.rewrite loop (StepCapError).  Each cap is an int of at least 1."""
+    reduction.rewrite loop (StepCapError).  Each cap is an int of at least 1;
+    a cap not given keeps the enclosing block's value."""
+    outer_term_cap, outer_step_cap = _limits.get()
+    term_cap = outer_term_cap if term_cap is None else term_cap
+    step_cap = outer_step_cap if step_cap is None else step_cap
     if type(term_cap) is not int or type(step_cap) is not int:
         raise ValueError("term and step caps must be ints")
     if term_cap < 1 or step_cap < 1:
@@ -145,9 +149,6 @@ class VarSpace:
 
     def has_field(self, name, index=None):
         return (name, index) in self._by_key
-
-    def field_names(self):
-        return sorted({name for (name, _idx) in self._by_key})
 
     def jet(self, name, index=None, **orders):
         return self.field(name, index).jet(**orders)

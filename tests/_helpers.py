@@ -570,14 +570,13 @@ def reference_miura_mix_images(n):
 
 class StubPool:
     """Stands in for ProcessPoolExecutor and starts no process: its one
-    worker is a copied context, where the initializer opens the scope."""
+    worker is a copied context."""
 
     made = []
 
-    def __init__(self, max_workers, initializer):
+    def __init__(self, max_workers):
         self.made.append(max_workers)
         self.worker = contextvars.copy_context()
-        self.worker.run(initializer)
 
     def __enter__(self):
         return self

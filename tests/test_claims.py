@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from _helpers import StubPool, reference_t0_first_image
-from jetcalc import claims, numoracle, reduction, transform
+from jetcalc import claims, diffalg, numoracle, reduction, transform
 from jetcalc import hierarchies as hier
 from jetcalc.claims import CLAIM_IDS, CheckResult, _derivative, run_all, run_claim
 from jetcalc.diffalg import RatExpr, prolong
@@ -89,31 +89,49 @@ def test_parallel_schedule_matches_sequential():
 
 
 def test_engine_error_is_reported_not_raised():
-    rep = run_claim("C9", 2, term_cap=6)
+    with diffalg.limits(term_cap=6):
+        rep = run_claim("C9", 2)
     assert rep.status == "error"
     assert any("TermCapError" in c.note for c in rep.checks if c.status == "error")
 
 
 def test_term_cap_does_not_leak_into_later_calls():
-    # nor does the step cap: both are scoped by one diffalg.limits per cell
-    run_all(1, claims=["C9"], term_cap=50)
-    assert run_all(2, claims=["C9"], step_cap=1)[-1].status == "error"
+    # nor does the step cap: diffalg.limits scopes both to its block
+    with diffalg.limits(term_cap=50):
+        run_all(1, claims=["C9"])
+    with diffalg.limits(step_cap=1):
+        assert run_all(2, claims=["C9"])[-1].status == "error"
     assert run_claim("C3", 3).status == "pass"
 
 
 @pytest.mark.parametrize("cap,error", [({"step_cap": 1}, "StepCapError"),
                                        ({"term_cap": 6}, "TermCapError")])
 def test_caps_cross_the_process_pool(cap, error):
-    # a pool worker does not inherit the caller's limits: each cell carries them
-    seq = [rep.record() for rep in run_all(2, claims=["C9"], jobs=1, **cap)]
-    par = [rep.record() for rep in run_all(2, claims=["C9"], jobs=2, **cap)]
+    # a pool worker does not inherit the caller's limits: each task carries them
+    with diffalg.limits(**cap):
+        seq = [rep.record() for rep in run_all(2, claims=["C9"], jobs=1)]
+        par = [rep.record() for rep in run_all(2, claims=["C9"], jobs=2)]
     assert seq == par
     assert all(any(line.startswith(f"engine: error ({error}: ") for line in rec["details"])
                for rec in par)
 
 
+@pytest.mark.parametrize("cap,note", [
+    ({"term_cap": 6}, "TermCapError: polynomial with 9 terms exceeds the cap of 6"),
+    ({"step_cap": 1}, "StepCapError: reduction exceeded 1 steps; last rewrites: P_{X,T}")],
+    ids=["term_cap", "step_cap"])
+def test_run_claim_and_run_all_honour_the_enclosing_limits(cap, note):
+    # neither opens caps of its own over the caller's block
+    with diffalg.limits(**cap):
+        reports = [run_claim("C9", 2)] + run_all(2, claims=["C9"], jobs=1) \
+            + run_all(2, claims=["C9"], jobs=2)
+    assert [rep.n for rep in reports] == [2, 1, 2, 1, 2]
+    assert all(rep.details() == [f"engine: error ({note})"] for rep in reports)
+
+
 def test_step_cap_error_is_reported():
-    rep = run_claim("C9", 2, step_cap=1)
+    with diffalg.limits(step_cap=1):
+        rep = run_claim("C9", 2)
     assert rep.status == "error"
     assert any("StepCapError" in c.note for c in rep.checks if c.status == "error")
 
@@ -320,7 +338,8 @@ def test_cell_status_is_error_over_fail_over_pass(statuses, status):
 
 
 def test_height_substitution_honours_the_step_cap():
-    rep = run_claim("C5", 3, step_cap=3)
+    with diffalg.limits(step_cap=3):
+        rep = run_claim("C5", 3)
     assert rep.status == "error"
     (engine,) = [c for c in rep.checks if c.status == "error"]
     assert engine.note.startswith("StepCapError: height substitution exceeded 3 steps")
@@ -328,12 +347,14 @@ def test_height_substitution_honours_the_step_cap():
 
 
 def test_m_substitution_honours_the_step_cap():
-    rep = run_claim("C3", 3, step_cap=2)
+    with diffalg.limits(step_cap=2):
+        rep = run_claim("C3", 3)
     assert rep.status == "error"
     (engine,) = [c for c in rep.checks if c.status == "error"]
     assert engine.note.startswith("StepCapError: M substitution exceeded 2 steps")
     assert "last rewrites: M_{" in engine.note
-    rep = run_claim("C3", 5, step_cap=5)
+    with diffalg.limits(step_cap=5):
+        rep = run_claim("C3", 5)
     (engine,) = [c for c in rep.checks if c.status == "error"]
     assert engine.note == ("StepCapError: M substitution exceeded 5 steps; last rewrites: "
                            "M_{T0,T2}, M_{T0,T0,T0,T1}, M_{T1}, M_{T0}, M_{T0,T0}")

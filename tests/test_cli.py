@@ -184,10 +184,13 @@ def test_verify_engine_error_exit_code(tmp_path):
 
 
 def test_verify_unwritable_report_is_a_usage_error(tmp_path, capsys):
-    # exit 1 would read as a failed claim
+    # exit 1 would read as a failed claim; the path fails before the run,
+    # so no summary table reaches stdout
     path = tmp_path / "missing" / "r.json"
     assert main(["verify", "--n-max", "1", "--report", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
 
 
 def test_verify_term_cap_does_not_leak(tmp_path):

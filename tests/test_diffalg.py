@@ -234,6 +234,20 @@ def test_limits_restore_both_defaults_after_an_exception():
     assert diffalg._limits.get() == defaults
 
 
+def test_a_cap_not_given_keeps_the_enclosing_blocks_value():
+    defaults = (diffalg.DEFAULT_TERM_CAP, diffalg.DEFAULT_STEP_CAP)
+    with diffalg.limits(term_cap=50):
+        with diffalg.limits(step_cap=1):
+            assert diffalg._limits.get() == (50, 1)
+            with diffalg.limits(term_cap=7):
+                assert diffalg._limits.get() == (7, 1)
+            assert diffalg._limits.get() == (50, 1)
+        assert diffalg._limits.get() == (50, diffalg.DEFAULT_STEP_CAP)
+    with diffalg.limits():
+        assert diffalg._limits.get() == defaults
+    assert diffalg._limits.get() == defaults
+
+
 @pytest.mark.parametrize("caps", [{"term_cap": 1.9}, {"step_cap": True}],
                          ids=["float", "bool"])
 def test_limits_reject_a_cap_that_is_not_an_int(caps):

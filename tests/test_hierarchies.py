@@ -147,7 +147,7 @@ def test_hierarchy_nesting():
 def test_space_shapes():
     sp = r_space(3)
     assert sp.vars == ("T0", "T1", "T2", "T3")
-    assert sp.field_names() == ["M", "X", "m", "x"]
+    assert sorted({f.name for f in sp.fields}) == ["M", "X", "m", "x"]
     mixed = mr_space(2)
     assert mixed.field("u").deps == ("x", "t")
     assert mixed.field("Omega", 1).deps == ("X", "T")
